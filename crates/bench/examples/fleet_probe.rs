@@ -2,15 +2,16 @@
 //! progress every simulated slice, to tell "slow but converging" apart
 //! from "wedged". Not part of the figure pipeline.
 //!
-//! Usage: `fleet_probe [n] [slice_secs] [limit_secs] [single|multi|p2p] [sim_threads] [aoe|batched|rdma]`
+//! Usage: `fleet_probe [n] [slice_secs] [limit_secs] [single|multi|p2p] [aoe|batched|rdma]`
 //!
 //! The optional topology argument uses the `--scaleout` figure's exact
 //! per-topology fleet configuration (stagger, sharding, peer serving,
-//! admission ramp). `sim_threads` > 1 runs the fleet on the
-//! conservative parallel engine — progress lines and results are
-//! identical either way, only host wall-clock changes. The optional
-//! transport argument deploys over that wire (the `--transport` race's
-//! axis); the progress line's `rdma=` column shows one-sided serving.
+//! admission ramp). The optional transport argument deploys over that
+//! wire (the `--transport` race's axis); the progress line's `rdma=`
+//! column shows one-sided serving. The `fill` column is the least and
+//! most complete member's `Machine::deployment_progress`, as the fleet
+//! sampler reports it (disk sectors past the image count as filled from
+//! the start).
 
 use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::{Fleet, FleetConfig};
@@ -26,7 +27,6 @@ fn main() {
     let slice: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
     let limit: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(36_000);
     let topology = args.next();
-    let sim_threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
     let transport = args.next().map(|a| {
         bmcast::TransportKind::parse(&a)
             .unwrap_or_else(|| panic!("unknown transport {a:?} (aoe|batched|rdma)"))
@@ -48,11 +48,9 @@ fn main() {
         Some("p2p") => topology_fleet_cfg(Topology::PeerToPeer, n as u32, &spec),
         Some(other) => panic!("unknown topology {other:?} (single|multi|p2p)"),
     };
-    cfg.sim_threads = sim_threads;
     if let Some(kind) = transport {
         cfg.machine_cfg.transport = kind;
     }
-    let image_sectors = cfg.spec.image_sectors;
     let mut fleet = Fleet::new(cfg);
     fleet.enable_telemetry();
     fleet.enable_flight_recorder(FlightRecorderConfig::default());
@@ -64,18 +62,9 @@ fn main() {
         at += slice;
         let done = fleet.run_to_all_booted(SimTime::from_secs(at));
         let snap = fleet.metrics_snapshot().expect("telemetry on");
-        let fills: Vec<u64> = (0..fleet.len())
-            .map(|i| {
-                fleet
-                    .machine(i)
-                    .vmm
-                    .as_ref()
-                    .map(|v| v.bitmap.filled_sectors())
-                    .unwrap_or(image_sectors)
-            })
-            .collect();
-        let min_fill = fills.iter().min().copied().unwrap_or(0);
-        let max_fill = fills.iter().max().copied().unwrap_or(0);
+        let fills = (0..fleet.len()).map(|i| fleet.machine(i).deployment_progress());
+        let min_fill = fills.clone().fold(1.0f64, f64::min);
+        let max_fill = fills.fold(0.0f64, f64::max);
         println!(
             "sim {:>6}s booted {:>2}/{} peers {:>3} fill {:>5.1}%..{:>5.1}% q={} rdma={} busy={} \
              drops={} hits={} misses={} retx={} failures={} deploy_errors={} busy_hints={}",
@@ -83,8 +72,8 @@ fn main() {
             fleet.booted_count(),
             fleet.len(),
             fleet.peers_active(),
-            100.0 * min_fill as f64 / image_sectors as f64,
-            100.0 * max_fill as f64 / image_sectors as f64,
+            100.0 * min_fill,
+            100.0 * max_fill,
             fleet.server().queued_total(),
             fleet.server().rdma_reads(),
             fleet.server().busy_replies(),

@@ -2,7 +2,7 @@
 //! comparison tables.
 //!
 //! ```text
-//! reproduce [--quick] [--metrics] [--jobs N] [--sim-threads N]
+//! reproduce [--quick] [--metrics] [--jobs N]
 //!           [--faults PLAN|all] [--scaleout] [--elasticity]
 //!           [--transport aoe|batched|rdma|all]
 //!           [--fleet-obs DIR] [--trace-out DIR] [--trace-ring N]
@@ -12,11 +12,8 @@
 //! `--scaleout` runs the *measured* fleet scale-out figure: one
 //! [`bmcast::fleet::Fleet`] per point (n machines, one shared
 //! switch/server with the block cache and DRR scheduler), points spread
-//! over `--jobs` threads, and writes `BENCH_scaleout.json` plus
-//! `BENCH_parallel.json` (per-point wall-clock/event-rate, the
-//! sequential speedup reference, and the engine-equivalence digest
-//! matrix). With no explicit figure ids, only the scale-out figure
-//! runs.
+//! over `--jobs` threads, and writes `BENCH_scaleout.json`. With no
+//! explicit figure ids, only the scale-out figure runs.
 //!
 //! `--scaleout --transport <kind|all>` runs the deployment **transport
 //! race** instead of the topology figure: plain AoE vs batched AoE vs
@@ -24,17 +21,17 @@
 //! the observability plane (flight recorder, SLO watchdogs, straggler
 //! attribution) on. A single extension kind always races against the
 //! plain-AoE baseline. Writes `BENCH_transport.json` (points plus the
-//! per-transport engine-equivalence and two-run chaos determinism
-//! locks) and exits non-zero on a divergence.
+//! per-transport two-run chaos determinism lock) and exits non-zero on
+//! a divergence.
 //!
 //! `--elasticity` runs the reverse-lifecycle figure: rolling image
 //! upgrades (re-virtualize → snapshot-back → reclaim → redeploy) and
 //! scale-down/scale-up waves on measured fleets, plus per-fault-class
-//! snapshot-back survivability, a two-run chaos determinism lock, and
-//! a sequential-vs-parallel engine-equivalence matrix. Writes
-//! `BENCH_elasticity.json`; with `--trace-out <dir>` the first chaos
-//! wave's flight-recorder trace lands in `<dir>/elasticity_trace.json`.
-//! Exits non-zero on engine divergence or a chaos determinism break.
+//! snapshot-back survivability, and a two-run chaos determinism lock.
+//! Writes `BENCH_elasticity.json`; with `--trace-out <dir>` the first
+//! chaos wave's flight-recorder trace lands in
+//! `<dir>/elasticity_trace.json`. Exits non-zero on a chaos
+//! determinism break.
 //!
 //! `--fleet-obs <dir>` adds one fully-instrumented observability fleet
 //! to each of `--scaleout` and `--elasticity`: telemetry registries,
@@ -44,13 +41,8 @@
 //! Perfetto trace, digests — see `bmcast_bench::obs`). The scaleout
 //! obs fleet is the figure's n=64 peer-to-peer point; the elasticity
 //! one runs the same fleet under the chaos fault plan. Artifacts are
-//! byte-identical across engines and same-seed runs
-//! (`check_figures.py --obs` validates a directory).
-//!
-//! `--sim-threads N` runs each fleet on the conservative parallel
-//! engine with N simulator workers (default 1 = the sequential
-//! engine). The interleave — and every artifact byte — is identical
-//! either way; only host wall-clock changes.
+//! byte-identical across same-seed runs (`check_figures.py --obs`
+//! validates a directory).
 //!
 //! `--metrics` runs one instrumented deployment first and prints the
 //! observability report (per-phase timings, redirect/fill/discard/
@@ -77,6 +69,10 @@
 //! Output stays deterministic: tables are printed in figure order after
 //! all selected figures complete, and `BENCH_reproduce.json` records the
 //! per-figure wall-clock so the perf trajectory is tracked over time.
+//!
+//! An unknown flag, a flag missing its value, or an unknown figure id
+//! is a usage error: the run exits with status 2 before anything is
+//! measured or written.
 
 use bmcast_bench::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -161,16 +157,14 @@ fn write_bench_json(
 /// figure's n=64 p2p point; `chaos` adds the chaos fault plan for the
 /// elasticity flavor) and writes its artifact directory under
 /// `<dir>/<kind>/`.
-fn write_fleet_obs(dir: &str, kind: &str, sim_threads: usize, chaos: bool) {
+fn write_fleet_obs(dir: &str, kind: &str, chaos: bool) {
     eprintln!(
-        "[reproduce] collecting {kind} observability fleet \
-         (n={}, p2p{}, {sim_threads} sim threads) ...",
+        "[reproduce] collecting {kind} observability fleet (n={}, p2p{}) ...",
         obs::OBS_FLEET_N,
         if chaos { ", chaos faults" } else { "" },
     );
     let started = Instant::now();
     let mut cfg = obs::obs_fleet_cfg(ext_scaleout::Topology::PeerToPeer);
-    cfg.sim_threads = sim_threads;
     if chaos {
         cfg.faults = simkit::fault::FaultPlan::preset("chaos", 7);
     }
@@ -192,123 +186,151 @@ fn write_fleet_obs(dir: &str, kind: &str, sim_threads: usize, chaos: bool) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Paper
+const USAGE: &str = "usage: reproduce [--quick] [--metrics] [--jobs N] \
+[--faults PLAN|all] [--scaleout] [--elasticity] [--transport aoe|batched|rdma|all] \
+[--fleet-obs DIR] [--trace-out DIR] [--trace-ring N] [fig04 fig05 ... | all]";
+
+/// The figure registry, in print order.
+fn figure_registry() -> Vec<(&'static str, FigureFn)> {
+    vec![
+        ("fig04", fig04_startup::run),
+        ("fig05", fig05_database::run),
+        ("fig06", fig06_mpi::run),
+        ("fig07", fig07_kernbench::run),
+        ("fig08", fig08_threads::run),
+        ("fig09", fig09_memory::run),
+        ("fig10", fig10_storage_tput::run),
+        ("fig11", fig11_storage_lat::run),
+        ("fig12", fig12_ib_tput::run),
+        ("fig13", fig13_ib_lat::run),
+        ("fig14", fig14_moderation::run),
+        ("ext01", ext_ablation::run),
+        ("ext02", ext_scaleout::run),
+    ]
+}
+
+/// The parsed command line.
+struct Cli {
+    scale: Scale,
+    metrics: bool,
+    scaleout: bool,
+    elasticity: bool,
+    jobs: usize,
+    wanted: Vec<String>,
+    faults_sel: Option<String>,
+    trace_out: Option<String>,
+    fleet_obs: Option<String>,
+    trace_ring: Option<usize>,
+    transport_sel: Option<String>,
+}
+
+/// Parses the arguments (program name excluded). Every flag, value and
+/// figure id is checked here, so a typo fails before anything runs.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        scale: Scale::Paper,
+        metrics: false,
+        scaleout: false,
+        elasticity: false,
+        jobs: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        wanted: Vec::new(),
+        faults_sel: None,
+        trace_out: None,
+        fleet_obs: None,
+        trace_ring: None,
+        transport_sel: None,
     };
-    let mut jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut faults_sel: Option<&str> = None;
-    let mut trace_out: Option<&str> = None;
-    let mut fleet_obs: Option<&str> = None;
-    let mut trace_ring: Option<usize> = None;
-    let mut sim_threads = 1usize;
-    let mut transport_sel: Option<&str> = None;
-    let mut take_jobs = false;
-    let mut take_sim_threads = false;
-    let mut take_faults = false;
-    let mut take_trace_out = false;
-    let mut take_fleet_obs = false;
-    let mut take_trace_ring = false;
-    let mut take_transport = false;
-    for a in &args {
-        if take_jobs {
-            jobs = a.parse().expect("--jobs takes a positive integer");
-            take_jobs = false;
-        } else if take_sim_threads {
-            sim_threads = a.parse().expect("--sim-threads takes a positive integer");
-            take_sim_threads = false;
-        } else if take_faults {
-            faults_sel = Some(a.as_str());
-            take_faults = false;
-        } else if take_trace_out {
-            trace_out = Some(a.as_str());
-            take_trace_out = false;
-        } else if take_fleet_obs {
-            fleet_obs = Some(a.as_str());
-            take_fleet_obs = false;
-        } else if take_trace_ring {
-            trace_ring = Some(a.parse().expect("--trace-ring takes a positive integer"));
-            take_trace_ring = false;
-        } else if take_transport {
-            transport_sel = Some(a.as_str());
-            take_transport = false;
-        } else if a == "--transport" {
-            take_transport = true;
-        } else if a == "--jobs" {
-            take_jobs = true;
-        } else if a == "--sim-threads" {
-            take_sim_threads = true;
-        } else if a == "--faults" {
-            take_faults = true;
-        } else if a == "--trace-out" {
-            take_trace_out = true;
-        } else if a == "--fleet-obs" {
-            take_fleet_obs = true;
-        } else if a == "--trace-ring" {
-            take_trace_ring = true;
-        } else if let Some(n) = a.strip_prefix("--jobs=") {
-            jobs = n.parse().expect("--jobs takes a positive integer");
-        } else if let Some(n) = a.strip_prefix("--sim-threads=") {
-            sim_threads = n.parse().expect("--sim-threads takes a positive integer");
-        } else if let Some(p) = a.strip_prefix("--faults=") {
-            faults_sel = Some(p);
-        } else if let Some(p) = a.strip_prefix("--trace-out=") {
-            trace_out = Some(p);
-        } else if let Some(p) = a.strip_prefix("--fleet-obs=") {
-            fleet_obs = Some(p);
-        } else if let Some(n) = a.strip_prefix("--trace-ring=") {
-            trace_ring = Some(n.parse().expect("--trace-ring takes a positive integer"));
-        } else if let Some(t) = a.strip_prefix("--transport=") {
-            transport_sel = Some(t);
-        } else if !a.starts_with("--") {
-            wanted.push(a.as_str());
+    let positive = |flag: &str, v: String| match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{flag} takes a positive integer, got {v:?}")),
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let (flag, inline) = match a.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f, Some(v.to_string())),
+            _ => (a.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| it.next().cloned())
+                .ok_or_else(|| format!("{flag} takes a value"))
+        };
+        match flag {
+            "--quick" | "--metrics" | "--scaleout" | "--elasticity" if inline.is_some() => {
+                return Err(format!("{flag} takes no value"));
+            }
+            "--quick" => cli.scale = Scale::Quick,
+            "--metrics" => cli.metrics = true,
+            "--scaleout" => cli.scaleout = true,
+            "--elasticity" => cli.elasticity = true,
+            "--jobs" => cli.jobs = positive(flag, value()?)?,
+            "--trace-ring" => cli.trace_ring = Some(positive(flag, value()?)?),
+            "--trace-out" => cli.trace_out = Some(value()?),
+            "--fleet-obs" => cli.fleet_obs = Some(value()?),
+            "--faults" => {
+                let sel = value()?;
+                if sel != "all" && !simkit::fault::FaultPlan::PRESET_NAMES.contains(&sel.as_str()) {
+                    return Err(format!(
+                        "--faults takes one of {:?} or 'all', got {sel:?}",
+                        simkit::fault::FaultPlan::PRESET_NAMES
+                    ));
+                }
+                cli.faults_sel = Some(sel);
+            }
+            "--transport" => {
+                let sel = value()?;
+                if ext_transport::kinds_for(&sel).is_none() {
+                    return Err(format!(
+                        "--transport takes aoe|batched|rdma|all, got {sel:?}"
+                    ));
+                }
+                cli.transport_sel = Some(sel);
+            }
+            _ if a.starts_with('-') => return Err(format!("unknown flag {a:?}")),
+            _ if a == "all" || figure_registry().iter().any(|(id, _)| id == a) => {
+                cli.wanted.push(a.clone());
+            }
+            _ => return Err(format!("unknown figure id {a:?}")),
         }
     }
-    assert!(jobs >= 1, "--jobs takes a positive integer");
-    assert!(sim_threads >= 1, "--sim-threads takes a positive integer");
-    assert!(!take_sim_threads, "--sim-threads takes a positive integer");
-    assert!(!take_faults, "--faults takes a plan name or 'all'");
-    assert!(!take_trace_out, "--trace-out takes a directory path");
-    assert!(!take_fleet_obs, "--fleet-obs takes a directory path");
-    assert!(!take_trace_ring, "--trace-ring takes a positive integer");
-    assert!(trace_ring != Some(0), "--trace-ring takes a positive integer");
-    assert!(!take_transport, "--transport takes aoe|batched|rdma|all");
+    if cli.transport_sel.is_some() && !cli.scaleout {
+        return Err("--transport requires --scaleout".into());
+    }
+    Ok(cli)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("reproduce: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let (scale, jobs, wanted) = (cli.scale, cli.jobs, &cli.wanted);
+    let faults_sel = cli.faults_sel.as_deref();
+    let trace_out = cli.trace_out.as_deref();
+    let fleet_obs = cli.fleet_obs.as_deref();
+    let trace_ring = cli.trace_ring;
 
     // `--scaleout --transport <kind|all>` runs the transport race
     // instead of the topology figure; plain `--scaleout` is untouched
     // (byte-identical artifacts).
-    if let Some(sel) = transport_sel {
-        assert!(
-            args.iter().any(|a| a == "--scaleout"),
-            "--transport requires --scaleout"
-        );
-        let kinds = ext_transport::kinds_for(sel)
-            .unwrap_or_else(|| panic!("--transport takes aoe|batched|rdma|all, got {sel:?}"));
+    if let Some(sel) = cli.transport_sel.as_deref() {
+        let kinds = ext_transport::kinds_for(sel).expect("validated by parse_args");
         eprintln!(
             "[reproduce] racing deployment transports {:?} at {scale:?} scale \
-             ({jobs} jobs, {sim_threads} sim threads) ...",
+             ({jobs} jobs) ...",
             kinds.iter().map(|k| k.label()).collect::<Vec<_>>()
         );
         let started = Instant::now();
-        let (fig, bench) = ext_transport::run_transport(scale, jobs, sim_threads, &kinds);
+        let (fig, bench) = ext_transport::run_transport(scale, jobs, &kinds);
         eprintln!(
             "[reproduce] transport race done in {:.1}s wall",
             started.elapsed().as_secs_f64()
         );
         println!("{fig}");
-        if let Some(c) = bench.equivalence.iter().find(|c| !c.identical) {
-            eprintln!(
-                "[reproduce] ENGINE DIVERGENCE on {} transport n={}: sequential {} vs parallel {}",
-                c.transport, c.n, c.digest_sequential, c.digest_parallel
-            );
-            std::process::exit(1);
-        }
         if let Some(c) = bench.chaos.iter().find(|c| !c.identical) {
             eprintln!(
                 "[reproduce] CHAOS DETERMINISM BREAK on {} transport: run A {} vs run B {}",
@@ -324,29 +346,20 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        if wanted.is_empty()
-            && faults_sel.is_none()
-            && trace_out.is_none()
-            && !args.iter().any(|a| a == "--elasticity")
-        {
+        if wanted.is_empty() && faults_sel.is_none() && trace_out.is_none() && !cli.elasticity {
             return;
         }
     }
 
-    if args.iter().any(|a| a == "--scaleout") && transport_sel.is_none() {
-        eprintln!(
-            "[reproduce] measuring fleet scale-out at {scale:?} scale \
-             ({jobs} jobs, {sim_threads} sim threads) ..."
-        );
+    if cli.scaleout && cli.transport_sel.is_none() {
+        eprintln!("[reproduce] measuring fleet scale-out at {scale:?} scale ({jobs} jobs) ...");
         let started = Instant::now();
-        let (fig, measured) = ext_scaleout::run_scaleout(scale, jobs, sim_threads);
+        let (fig, points) = ext_scaleout::run_scaleout(scale, jobs);
         eprintln!(
             "[reproduce] scaleout done in {:.1}s wall",
             started.elapsed().as_secs_f64()
         );
         println!("{fig}");
-        let points: Vec<ext_scaleout::ScaleoutPoint> =
-            measured.iter().map(|m| m.point.clone()).collect();
         let json_path = "BENCH_scaleout.json";
         match ext_scaleout::write_scaleout_json(json_path, scale, &points) {
             Ok(()) => eprintln!("[reproduce] wrote {json_path}"),
@@ -355,61 +368,25 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        eprintln!("[reproduce] measuring parallel-engine equivalence + speedup ...");
-        let started = Instant::now();
-        let bench = ext_scaleout::bench_parallel(scale, jobs, sim_threads, measured);
-        eprintln!(
-            "[reproduce] parallel bench done in {:.1}s wall (speedup at p2p n={}: {:.2}x)",
-            started.elapsed().as_secs_f64(),
-            ext_scaleout::SPEEDUP_ANCHOR_N,
-            bench.speedup_at_anchor,
-        );
-        if let Some(c) = bench.equivalence.iter().find(|c| !c.identical) {
-            eprintln!(
-                "[reproduce] ENGINE DIVERGENCE at {} n={}: sequential {} vs parallel {}",
-                c.topology, c.n, c.digest_sequential, c.digest_parallel
-            );
-            std::process::exit(1);
-        }
-        let json_path = "BENCH_parallel.json";
-        match ext_scaleout::write_parallel_json(json_path, scale, &bench) {
-            Ok(()) => eprintln!("[reproduce] wrote {json_path}"),
-            Err(e) => {
-                eprintln!("[reproduce] failed to write {json_path}: {e}");
-                std::process::exit(1);
-            }
-        }
         if let Some(dir) = fleet_obs {
-            write_fleet_obs(dir, "scaleout", sim_threads, false);
+            write_fleet_obs(dir, "scaleout", false);
         }
-        if wanted.is_empty()
-            && faults_sel.is_none()
-            && trace_out.is_none()
-            && !args.iter().any(|a| a == "--elasticity")
-        {
+        if wanted.is_empty() && faults_sel.is_none() && trace_out.is_none() && !cli.elasticity {
             return;
         }
     }
 
-    if args.iter().any(|a| a == "--elasticity") {
+    if cli.elasticity {
         eprintln!(
-            "[reproduce] measuring elasticity lifecycle at {scale:?} scale \
-             ({jobs} jobs, {sim_threads} sim threads) ..."
+            "[reproduce] measuring elasticity lifecycle at {scale:?} scale ({jobs} jobs) ..."
         );
         let started = Instant::now();
-        let (fig, bench) = ext_elasticity::run_elasticity(scale, jobs, sim_threads);
+        let (fig, bench) = ext_elasticity::run_elasticity(scale, jobs);
         eprintln!(
             "[reproduce] elasticity done in {:.1}s wall",
             started.elapsed().as_secs_f64()
         );
         println!("{fig}");
-        if let Some(c) = bench.equivalence.iter().find(|c| !c.identical) {
-            eprintln!(
-                "[reproduce] ENGINE DIVERGENCE on upgrade wave n={}: sequential {} vs parallel {}",
-                c.n, c.digest_sequential, c.digest_parallel
-            );
-            std::process::exit(1);
-        }
         if !(bench.chaos.identical && bench.chaos.trace_identical) {
             eprintln!(
                 "[reproduce] CHAOS DETERMINISM BREAK: run A {} vs run B {} (traces identical: {})",
@@ -426,7 +403,7 @@ fn main() {
             }
         }
         if let Some(dir) = fleet_obs {
-            write_fleet_obs(dir, "elasticity", sim_threads, true);
+            write_fleet_obs(dir, "elasticity", true);
         }
         if let Some(dir) = trace_out {
             let path = std::path::Path::new(dir).join("elasticity_trace.json");
@@ -447,7 +424,7 @@ fn main() {
         }
     }
 
-    if args.iter().any(|a| a == "--metrics") {
+    if cli.metrics {
         eprintln!("[reproduce] running instrumented deployment at {scale:?} scale ...");
         print!("{}", telemetry::report(scale, trace_ring.unwrap_or(4096)));
         if wanted.is_empty() && trace_out.is_none() {
@@ -491,24 +468,10 @@ fn main() {
         }
     }
 
-    let all = wanted.is_empty() || wanted.contains(&"all");
-    let want = |id: &str| all || wanted.contains(&id);
+    let all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
+    let want = |id: &str| all || wanted.iter().any(|w| w == id);
 
-    let figures: Vec<(&'static str, FigureFn)> = vec![
-        ("fig04", fig04_startup::run),
-        ("fig05", fig05_database::run),
-        ("fig06", fig06_mpi::run),
-        ("fig07", fig07_kernbench::run),
-        ("fig08", fig08_threads::run),
-        ("fig09", fig09_memory::run),
-        ("fig10", fig10_storage_tput::run),
-        ("fig11", fig11_storage_lat::run),
-        ("fig12", fig12_ib_tput::run),
-        ("fig13", fig13_ib_lat::run),
-        ("fig14", fig14_moderation::run),
-        ("ext01", ext_ablation::run),
-        ("ext02", ext_scaleout::run),
-    ];
+    let figures = figure_registry();
     let mut selected: Vec<(&'static str, FigureFn)> = if faults_sel.is_some() && wanted.is_empty() {
         // --faults alone: run only the fault matrix.
         Vec::new()
@@ -516,16 +479,11 @@ fn main() {
         figures.into_iter().filter(|(id, _)| want(id)).collect()
     };
     if let Some(sel) = faults_sel {
-        let matching: Vec<(&'static str, FigureFn)> = faults::registry()
-            .into_iter()
-            .filter(|(id, _)| sel == "all" || id.strip_prefix("faults_") == Some(sel))
-            .collect();
-        assert!(
-            !matching.is_empty(),
-            "--faults takes one of {:?} or 'all'",
-            simkit::fault::FaultPlan::PRESET_NAMES
+        selected.extend(
+            faults::registry()
+                .into_iter()
+                .filter(|(id, _)| sel == "all" || id.strip_prefix("faults_") == Some(sel)),
         );
-        selected.extend(matching);
     }
 
     let started = Instant::now();

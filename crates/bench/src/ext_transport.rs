@@ -19,11 +19,8 @@
 //! column's median RTT total and queueing excess must drop below plain
 //! AoE's, not just its p99.
 //!
-//! `BENCH_transport.json` carries the points plus two locks reused from
-//! the scale-out bench: a sequential-vs-parallel engine-equivalence
-//! digest matrix (the IB completion delay is lookahead-safe by
-//! construction — this is where that claim is executable) and a
-//! two-run chaos determinism lock per transport.
+//! `BENCH_transport.json` carries the points plus a two-run chaos
+//! determinism lock per transport.
 
 use crate::ext_scaleout::{fleet_geometry, fnv1a64, topology_fleet_cfg, Topology};
 use crate::{Check, Figure, Row, Scale};
@@ -40,7 +37,7 @@ use std::sync::Mutex;
 /// Seed of the chaos determinism lock's fault plan.
 pub const TRANSPORT_FAULT_SEED: u64 = 7;
 
-/// Fleet size of the chaos lock and the equivalence matrix cells.
+/// Fleet size of the chaos lock's runs.
 pub const LOCK_FLEET_N: u32 = 8;
 
 /// The `n` grid per transport. Quick keeps the endpoints the
@@ -107,18 +104,13 @@ pub struct TransportPoint {
     pub straggler_queue_excess_s: f64,
 }
 
-/// A [`TransportPoint`] plus host cost and the engine-invariant event
-/// count (the digest witness).
+/// A [`TransportPoint`] plus the event count (the digest witness).
 #[derive(Debug, Clone)]
 pub struct MeasuredTransport {
     /// The figure point.
     pub point: TransportPoint,
-    /// Host wall-clock, milliseconds (never part of a digest).
-    pub wall_ms: f64,
-    /// Events executed — engine-invariant equivalence witness.
+    /// Events executed across the fleet and every member simulation.
     pub events: u64,
-    /// Simulator worker threads used.
-    pub sim_threads: u32,
 }
 
 /// Boots one fleet of `n` over `kind` with the full PR 9 observability
@@ -126,13 +118,11 @@ pub struct MeasuredTransport {
 pub fn measure_transport_point(
     kind: TransportKind,
     n: u32,
-    sim_threads: usize,
     faults: Option<FaultPlan>,
 ) -> MeasuredTransport {
     let (spec, profile) = fleet_geometry();
     let mut cfg = topology_fleet_cfg(Topology::SingleServer, n, &spec);
     cfg.machine_cfg.transport = kind;
-    cfg.sim_threads = sim_threads;
     cfg.faults = faults;
     let mut fleet = Fleet::new(cfg);
     fleet.enable_telemetry();
@@ -140,11 +130,9 @@ pub fn measure_transport_point(
     fleet.enable_slo(SloConfig::default());
     let p = profile.clone();
     fleet.start(move |_| Box::new(BootProgram::new(p.clone())));
-    let started = std::time::Instant::now();
     fleet
         .run_to_all_booted(SimTime::from_secs(36_000))
         .expect("transport fleet boots within limit");
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let mut secs: Vec<f64> = fleet
         .startup_durations()
         .iter()
@@ -175,14 +163,12 @@ pub fn measure_transport_point(
             straggler_rtt_total_s: slowest.rtt_total_s,
             straggler_queue_excess_s: slowest.queue_excess_s,
         },
-        wall_ms,
         events: fleet.events_executed(),
-        sim_threads: sim_threads as u32,
     }
 }
 
 /// One point's JSON object, fixed precision — what gets hashed for the
-/// equivalence and chaos locks is byte-for-byte what gets published.
+/// chaos lock is byte-for-byte what gets published.
 pub fn transport_point_json(p: &TransportPoint) -> String {
     format!(
         "{{\"transport\": \"{}\", \"n\": {}, \"startup_p50_s\": {:.6}, \
@@ -209,28 +195,10 @@ pub fn transport_point_json(p: &TransportPoint) -> String {
     )
 }
 
-/// The digest witness for one run: published JSON plus the event count
-/// (wall clock deliberately excluded).
+/// The digest witness for one run: published JSON plus the event count.
 pub fn transport_digest(m: &MeasuredTransport) -> String {
     let witness = format!("{}|events={}", transport_point_json(&m.point), m.events);
     format!("{:016x}", fnv1a64(witness.as_bytes()))
-}
-
-/// One transport's sequential-vs-parallel equivalence cell.
-#[derive(Debug, Clone)]
-pub struct TransportEquivalence {
-    /// Transport label.
-    pub transport: &'static str,
-    /// Fleet size of the cell.
-    pub n: u32,
-    /// Worker threads the parallel run used.
-    pub sim_threads: u32,
-    /// Digest of the sequential run.
-    pub digest_sequential: String,
-    /// Digest of the parallel run.
-    pub digest_parallel: String,
-    /// Whether the witnesses matched byte for byte.
-    pub identical: bool,
 }
 
 /// One transport's two-run chaos determinism cell: the same chaos
@@ -255,30 +223,22 @@ pub struct TransportBench {
     pub kinds: Vec<TransportKind>,
     /// Grid points, grouped by transport in grid order.
     pub points: Vec<MeasuredTransport>,
-    /// The engine-equivalence matrix (one cell per raced transport at
-    /// [`LOCK_FLEET_N`]).
-    pub equivalence: Vec<TransportEquivalence>,
     /// The chaos determinism lock (one cell per raced transport).
     pub chaos: Vec<TransportChaos>,
 }
 
-/// Measures the full race: the `(kind, n)` grid plus both locks, on at
-/// most `jobs` host threads (each run owns its whole simulated world).
-pub fn measure_transport(
-    scale: Scale,
-    jobs: usize,
-    sim_threads: usize,
-    kinds: &[TransportKind],
-) -> TransportBench {
+/// Measures the full race: the `(kind, n)` grid plus the chaos lock,
+/// on at most `jobs` host threads (each run owns its whole simulated
+/// world).
+pub fn measure_transport(scale: Scale, jobs: usize, kinds: &[TransportKind]) -> TransportBench {
     let ns = transport_grid(scale);
-    let par_threads = sim_threads.max(2);
-    // One flat work list: grid points, then per-kind (seq, par)
-    // equivalence runs, then per-kind (a, b) chaos runs. Slot-addressed
-    // results keep the output deterministic under work stealing.
+    // One flat work list: grid points, then per-kind (a, b) chaos runs.
+    // Slot-addressed results keep the output deterministic under work
+    // stealing.
     #[derive(Clone, Copy)]
     enum Job {
         Grid(TransportKind, u32),
-        Lock(TransportKind, usize, bool),
+        Chaos(TransportKind),
     }
     let mut work: Vec<Job> = Vec::new();
     for &k in kinds {
@@ -287,12 +247,8 @@ pub fn measure_transport(
         }
     }
     for &k in kinds {
-        work.push(Job::Lock(k, 1, false));
-        work.push(Job::Lock(k, par_threads, false));
-    }
-    for &k in kinds {
-        work.push(Job::Lock(k, 1, true));
-        work.push(Job::Lock(k, 1, true));
+        work.push(Job::Chaos(k));
+        work.push(Job::Chaos(k));
     }
 
     let next = AtomicUsize::new(0);
@@ -304,16 +260,11 @@ pub fn measure_transport(
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&job) = work.get(i) else { break };
                 let m = match job {
-                    Job::Grid(k, n) => measure_transport_point(k, n, sim_threads, None),
-                    Job::Lock(k, threads, chaos) => measure_transport_point(
+                    Job::Grid(k, n) => measure_transport_point(k, n, None),
+                    Job::Chaos(k) => measure_transport_point(
                         k,
                         LOCK_FLEET_N,
-                        threads,
-                        if chaos {
-                            FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED)
-                        } else {
-                            None
-                        },
+                        FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED),
                     ),
                 };
                 *slots[i].lock().unwrap() = Some(m);
@@ -325,27 +276,9 @@ pub fn measure_transport(
         .map(|s| s.into_inner().unwrap().expect("transport slot filled"))
         .collect();
 
-    let grid_len = kinds.len() * ns.len();
-    let chaos_runs = measured.split_off(grid_len + kinds.len() * 2);
-    let lock_runs = measured.split_off(grid_len);
+    let chaos_runs = measured.split_off(kinds.len() * ns.len());
     let points = measured;
 
-    let equivalence = kinds
-        .iter()
-        .zip(lock_runs.chunks(2))
-        .map(|(&k, pair)| {
-            let [seq, par] = pair else { unreachable!("lock runs pushed in pairs") };
-            let (ds, dp) = (transport_digest(seq), transport_digest(par));
-            TransportEquivalence {
-                transport: k.label(),
-                n: LOCK_FLEET_N,
-                sim_threads: par.sim_threads,
-                identical: ds == dp && seq.events == par.events,
-                digest_sequential: ds,
-                digest_parallel: dp,
-            }
-        })
-        .collect();
     let chaos = kinds
         .iter()
         .zip(chaos_runs.chunks(2))
@@ -364,7 +297,6 @@ pub fn measure_transport(
     TransportBench {
         kinds: kinds.to_vec(),
         points,
-        equivalence,
         chaos,
     }
 }
@@ -375,10 +307,9 @@ pub fn measure_transport(
 pub fn run_transport(
     scale: Scale,
     jobs: usize,
-    sim_threads: usize,
     kinds: &[TransportKind],
 ) -> (Figure, TransportBench) {
-    let bench = measure_transport(scale, jobs, sim_threads, kinds);
+    let bench = measure_transport(scale, jobs, kinds);
     let points: Vec<&TransportPoint> = bench.points.iter().map(|m| &m.point).collect();
 
     let rows = points
@@ -456,7 +387,6 @@ pub fn run_transport(
         .filter(|p| p.transport == TransportKind::Rdma.label())
         .all(|p| p.rdma_reads > 0);
     let drops: u64 = points.iter().map(|p| p.queue_drops).sum();
-    let engines_ok = bench.equivalence.iter().all(|c| c.identical);
     let chaos_ok = bench.chaos.iter().all(|c| c.identical);
 
     let yes = |b: bool| b as u32 as f64;
@@ -497,12 +427,6 @@ pub fn run_transport(
             ),
             Check::new("queue drops across all transports", 0.0, drops as f64, ""),
             Check::new(
-                "engines event-identical per transport (1=yes)",
-                1.0,
-                yes(engines_ok),
-                "",
-            ),
-            Check::new(
                 "chaos double-runs byte-identical (1=yes)",
                 1.0,
                 yes(chaos_ok),
@@ -536,22 +460,6 @@ pub fn transport_json(scale: Scale, bench: &TransportBench) -> String {
             "    {}{}\n",
             transport_point_json(&m.point),
             if i + 1 < bench.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"equivalence\": [\n");
-    for (i, c) in bench.equivalence.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"n\": {}, \"sim_threads\": {}, \
-             \"digest_sequential\": \"{}\", \"digest_parallel\": \"{}\", \
-             \"identical\": {}}}{}\n",
-            c.transport,
-            c.n,
-            c.sim_threads,
-            c.digest_sequential,
-            c.digest_parallel,
-            c.identical,
-            if i + 1 < bench.equivalence.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
@@ -603,9 +511,7 @@ mod tests {
                 straggler_rtt_total_s: 3.0,
                 straggler_queue_excess_s: 1.0,
             },
-            wall_ms: 100.0,
             events,
-            sim_threads: 1,
         }
     }
 
@@ -625,12 +531,9 @@ mod tests {
     }
 
     #[test]
-    fn transport_digest_ignores_wall_clock_but_not_events() {
-        let mut a = synthetic_point("aoe", 1234);
-        let mut b = synthetic_point("aoe", 1234);
-        a.wall_ms = 100.0;
-        b.wall_ms = 900.0;
-        b.sim_threads = 4;
+    fn transport_digest_witnesses_the_event_count() {
+        let a = synthetic_point("aoe", 1234);
+        let b = synthetic_point("aoe", 1234);
         assert_eq!(transport_digest(&a), transport_digest(&b));
         let c = synthetic_point("aoe", 1235);
         assert_ne!(transport_digest(&a), transport_digest(&c));
@@ -641,14 +544,6 @@ mod tests {
         let bench = TransportBench {
             kinds: vec![TransportKind::Aoe, TransportKind::Rdma],
             points: vec![synthetic_point("aoe", 100), synthetic_point("rdma", 90)],
-            equivalence: vec![TransportEquivalence {
-                transport: "rdma",
-                n: LOCK_FLEET_N,
-                sim_threads: 2,
-                digest_sequential: "aa".into(),
-                digest_parallel: "aa".into(),
-                identical: true,
-            }],
             chaos: vec![TransportChaos {
                 transport: "rdma",
                 digest_a: "bb".into(),
@@ -666,8 +561,6 @@ mod tests {
             "\"median_rtt_total_s\": 2.250000",
             "\"requests\": 4096",
             "\"alert_raises\": 0",
-            "\"equivalence\": [",
-            "\"digest_sequential\": \"aa\"",
             "\"chaos\": [",
             "\"identical\": true",
         ] {
@@ -690,7 +583,7 @@ mod tests {
     fn transport_race_measures_and_locks_at_tiny_scale() {
         // One real (tiny) race through the whole pipeline: both
         // extension transports against the baseline at n=2, with the
-        // locks exercised for the rdma column. Asserts mechanism
+        // chaos lock exercised for the rdma column. Asserts mechanism
         // (request shrink, one-sided serving, lock identity), not
         // performance — n=2 is too small for the p99 race.
         let kinds = [TransportKind::Aoe, TransportKind::Rdma];
@@ -698,7 +591,7 @@ mod tests {
         let mut points = Vec::new();
         for &k in &kinds {
             for &n in &ns {
-                points.push(measure_transport_point(k, n, 1, None));
+                points.push(measure_transport_point(k, n, None));
             }
         }
         let aoe = &points[0].point;
@@ -712,15 +605,11 @@ mod tests {
             rdma.median_rtt_total_s,
             aoe.median_rtt_total_s
         );
-        // Engine + rerun locks on the rdma column.
-        let seq = measure_transport_point(TransportKind::Rdma, 2, 1, None);
-        let par = measure_transport_point(TransportKind::Rdma, 2, 2, None);
-        assert_eq!(transport_digest(&seq), transport_digest(&par));
+        // Rerun lock on the rdma column.
         let chaos = || {
             measure_transport_point(
                 TransportKind::Rdma,
                 2,
-                1,
                 FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED),
             )
         };

@@ -17,10 +17,9 @@
 //! - `obs_digest.json` — FNV-1a digests of every artifact above.
 //!
 //! Every byte is a function of the fleet configuration alone: the same
-//! config produces identical directories on the sequential and
-//! parallel engines and across repeated runs (`obs_artifacts_are_
-//! engine_identical` below holds the line, and the CI `obs-smoke` job
-//! diffs whole directories).
+//! config produces identical directories across repeated runs
+//! (`obs_artifacts_are_rerun_identical` below holds the line, and the
+//! CI `obs-smoke` job diffs whole directories).
 
 use crate::ext_scaleout::{fnv1a64, fleet_geometry, topology_fleet_cfg, Topology};
 use bmcast::deploy::FlightRecorderConfig;
@@ -73,8 +72,7 @@ pub fn obs_fleet_cfg(topology: Topology) -> FleetConfig {
 }
 
 /// Boots `cfg` with every observability layer armed and collects the
-/// artifacts. Deterministic in `cfg` (including `cfg.sim_threads`
-/// being irrelevant to the bytes produced).
+/// artifacts. Deterministic in `cfg`.
 pub fn collect_fleet_obs(cfg: FleetConfig, profile: &BootProfile) -> FleetObs {
     let mut fleet = Fleet::new(cfg);
     fleet.enable_telemetry();
@@ -272,7 +270,7 @@ mod tests {
     use simkit::fault::FaultPlan;
     use simkit::slo::SloRule;
 
-    fn tiny_obs_cfg(threads: usize) -> FleetConfig {
+    fn tiny_obs_cfg() -> FleetConfig {
         use bmcast::machine::MachineSpec;
         let mut cfg = FleetConfig {
             n: 6,
@@ -284,23 +282,16 @@ mod tests {
             ..FleetConfig::default()
         };
         cfg.faults = FaultPlan::preset("chaos", 7);
-        cfg.sim_threads = threads;
         cfg
     }
 
     #[test]
-    fn obs_artifacts_are_engine_identical() {
+    fn obs_artifacts_are_rerun_identical() {
         let profile = BootProfile::tiny(7);
-        let seq = collect_fleet_obs(tiny_obs_cfg(1), &profile);
-        let par = collect_fleet_obs(tiny_obs_cfg(2), &profile);
-        let rerun = collect_fleet_obs(tiny_obs_cfg(1), &profile);
-        let files = |o: &FleetObs| o.artifacts();
-        for ((n1, a), ((_, b), (_, c))) in files(&seq)
-            .into_iter()
-            .zip(files(&par).into_iter().zip(files(&rerun)))
-        {
-            assert_eq!(a, b, "{n1} diverged between engines");
-            assert_eq!(a, c, "{n1} diverged between same-seed chaos runs");
+        let first = collect_fleet_obs(tiny_obs_cfg(), &profile);
+        let rerun = collect_fleet_obs(tiny_obs_cfg(), &profile);
+        for ((name, a), (_, b)) in first.artifacts().into_iter().zip(rerun.artifacts()) {
+            assert_eq!(a, b, "{name} diverged between same-seed chaos runs");
         }
     }
 
@@ -349,7 +340,7 @@ mod tests {
     #[test]
     fn quiet_run_digest_covers_every_artifact() {
         let profile = BootProfile::tiny(7);
-        let mut cfg = tiny_obs_cfg(1);
+        let mut cfg = tiny_obs_cfg();
         cfg.faults = None;
         cfg.n = 2;
         let obs = collect_fleet_obs(cfg, &profile);

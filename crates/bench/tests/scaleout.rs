@@ -11,7 +11,8 @@
 //!   the server disk about once, so followers hit at ~(n-1)/n.
 //! - **Chaos runs are reproducible to the byte**: the same seed under a
 //!   fault plan yields the identical `BENCH_scaleout.json` body — with
-//!   one origin server and with a sharded (k ≥ 2) store.
+//!   one origin server, a sharded (k ≥ 2) store, and the figure's
+//!   peer-to-peer column.
 //! - **Every topology degenerates at n = 1**: the figure's 1-server,
 //!   k=1 sharded, and p2p configs all reduce to the same lone boot.
 
@@ -104,71 +105,16 @@ fn eight_concurrent_boots_are_fair_and_share_the_cache() {
     );
 }
 
-/// One chaos fleet of 4 with `servers` origin replicas, reduced to the
-/// JSON body the figure would write for it.
-fn chaos_json_once(servers: usize) -> String {
-    let cfg = FleetConfig {
-        n: 4,
-        spec: small_spec(),
-        servers,
-        faults: FaultPlan::preset("chaos", 7),
-        ..FleetConfig::default()
-    };
-    let (fleet, startups) = boot_fleet(cfg, &busy_profile());
-    let mut secs: Vec<f64> = startups.iter().map(|t| t.as_secs_f64()).collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let point = ScaleoutPoint {
-        topology: if servers > 1 { "k-server" } else { "1-server" },
-        n: 4,
-        servers: servers as u32,
-        peers: fleet.peers_active() as u32,
-        startup_p50_s: secs[secs.len() / 2],
-        startup_p99_s: secs[secs.len() - 1],
-        fairness_ratio: secs[secs.len() - 1] / secs[0],
-        cache_hit_ratio: fleet.cache_hit_ratio(),
-        bytes_moved: fleet.server_bytes_read(),
-        queue_drops: fleet.queue_drops_total(),
-        analytic_s: 0.0,
-        rel_err: 0.0,
-        image_copy_s: 0.0,
-    };
-    scaleout_json(Scale::Quick, &[point])
-}
-
-#[test]
-fn chaos_scaleout_json_is_byte_identical_across_runs() {
-    let a = chaos_json_once(1);
-    let b = chaos_json_once(1);
-    assert_eq!(a, b, "same-seed chaos fleets must serialize identically");
-    assert!(a.contains("\"n\": 4"));
-}
-
-#[test]
-fn sharded_chaos_scaleout_json_is_byte_identical_across_runs() {
-    let a = chaos_json_once(2);
-    let b = chaos_json_once(2);
-    assert_eq!(
-        a, b,
-        "same-seed chaos fleets with a sharded store must serialize identically"
-    );
-    assert!(a.contains("\"servers\": 2"));
-}
-
-/// One fleet of `n` under `topology` (optionally under the chaos fault
-/// plan) on `sim_threads` simulator workers, reduced to the JSON body
-/// the figure would write for it.
-fn topo_json_once(topology: Topology, n: u32, sim_threads: usize, chaos: bool) -> String {
-    let mut cfg = topology_fleet_cfg(topology, n, &small_spec());
-    cfg.sim_threads = sim_threads;
-    if chaos {
-        cfg.faults = FaultPlan::preset("chaos", 7);
-    }
+/// Boots `cfg` and reduces it to the JSON body the figure would write
+/// for it under `topology`.
+fn fleet_json_once(cfg: FleetConfig, topology: &'static str) -> String {
+    let n = cfg.n as u32;
     let servers = cfg.servers as u32;
     let (fleet, startups) = boot_fleet(cfg, &busy_profile());
     let mut secs: Vec<f64> = startups.iter().map(|t| t.as_secs_f64()).collect();
     secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let point = ScaleoutPoint {
-        topology: topology.label(),
+        topology,
         n,
         servers,
         peers: fleet.peers_active() as u32,
@@ -185,40 +131,72 @@ fn topo_json_once(topology: Topology, n: u32, sim_threads: usize, chaos: bool) -
     scaleout_json(Scale::Quick, &[point])
 }
 
-/// Tentpole acceptance: the conservative parallel engine must write
-/// the figure artifact byte-for-byte as the sequential engine — every
-/// topology, clean and chaos.
-#[test]
-fn parallel_engine_writes_identical_scaleout_json() {
-    for topology in [
-        Topology::SingleServer,
-        Topology::MultiServer,
-        Topology::PeerToPeer,
-    ] {
-        for n in [2, 8] {
-            let seq = topo_json_once(topology, n, 1, false);
-            let par = topo_json_once(topology, n, 4, false);
-            assert_eq!(seq, par, "{topology:?} n={n} clean diverged");
-        }
-        let seq = topo_json_once(topology, 4, 1, true);
-        let par = topo_json_once(topology, 4, 4, true);
-        assert_eq!(seq, par, "{topology:?} n=4 chaos diverged");
-    }
+/// One chaos fleet of 4 with `servers` origin replicas.
+fn chaos_json_once(servers: usize) -> String {
+    let cfg = FleetConfig {
+        n: 4,
+        spec: small_spec(),
+        servers,
+        faults: FaultPlan::preset("chaos", 7),
+        ..FleetConfig::default()
+    };
+    fleet_json_once(cfg, if servers > 1 { "k-server" } else { "1-server" })
 }
 
-/// Rack-scale variant of the byte-identity check; release-only (the
-/// CI `parallel-equivalence` job runs it with `--ignored`).
+/// One chaos fleet of 4 under the figure's peer-to-peer configuration.
+fn p2p_chaos_json_once() -> String {
+    let mut cfg = topology_fleet_cfg(Topology::PeerToPeer, 4, &small_spec());
+    cfg.faults = FaultPlan::preset("chaos", 7);
+    fleet_json_once(cfg, Topology::PeerToPeer.label())
+}
+
 #[test]
-#[ignore = "rack scale: run in release (CI parallel-equivalence job)"]
-fn parallel_engine_writes_identical_scaleout_json_at_rack_scale() {
+fn chaos_scaleout_json_is_byte_identical_across_runs() {
+    let a = chaos_json_once(1);
+    let b = chaos_json_once(1);
+    assert_eq!(a, b, "same-seed chaos fleets must serialize identically");
+    assert!(a.contains("\"n\": 4"));
+    let a = p2p_chaos_json_once();
+    let b = p2p_chaos_json_once();
+    assert_eq!(
+        a, b,
+        "same-seed p2p chaos fleets must serialize identically"
+    );
+}
+
+#[test]
+fn sharded_chaos_scaleout_json_is_byte_identical_across_runs() {
+    let a = chaos_json_once(2);
+    let b = chaos_json_once(2);
+    assert_eq!(
+        a, b,
+        "same-seed chaos fleets with a sharded store must serialize identically"
+    );
+    assert!(a.contains("\"servers\": 2"));
+}
+
+/// Rack-scale rerun check: every topology column's n=64 fleet
+/// serializes identically across two same-seed runs. Release-only (the
+/// CI `fleet-ignored` job runs it with `--ignored`).
+#[test]
+#[ignore = "rack scale: run in release (CI fleet-ignored job)"]
+fn scaleout_json_is_rerun_identical_at_rack_scale() {
     for topology in [
         Topology::SingleServer,
         Topology::MultiServer,
         Topology::PeerToPeer,
     ] {
-        let seq = topo_json_once(topology, 64, 1, false);
-        let par = topo_json_once(topology, 64, 4, false);
-        assert_eq!(seq, par, "{topology:?} n=64 clean diverged");
+        let run = || {
+            fleet_json_once(
+                topology_fleet_cfg(topology, 64, &small_spec()),
+                topology.label(),
+            )
+        };
+        assert_eq!(
+            run(),
+            run(),
+            "{topology:?} n=64 diverged across same-seed runs"
+        );
     }
 }
 

@@ -385,9 +385,9 @@ impl GuestCtl<'_> {
 
 /// A workload/OS scenario driving the guest.
 ///
-/// `Send` so machines (which own their program) can be stepped from
-/// worker threads by the parallel fleet engine; programs are plain
-/// state machines, so the bound costs implementations nothing.
+/// `Send` so machines (which own their program) can move between
+/// threads; programs are plain state machines, so the bound costs
+/// implementations nothing.
 pub trait GuestProgram: Send {
     /// Display name.
     fn name(&self) -> &str;
@@ -609,7 +609,7 @@ impl Machine {
             BlockStore::image(spec.image_sectors, spec.image_seed),
         );
         let server = AoeServer::new(
-            crate::transport::for_kind(cfg.transport).server_config(ServerConfig {
+            cfg.transport.server_config(ServerConfig {
                 mtu: cfg.mtu,
                 ..ServerConfig::default()
             }),
@@ -637,7 +637,7 @@ impl Machine {
                     rto: SimDuration::from_millis(50),
                     ..ClientConfig::default()
                 });
-                crate::transport::for_kind(cfg.transport).configure_client(&mut client);
+                cfg.transport.configure_client(&mut client);
                 client
             },
             nic: PolledNic::new(cfg.nic, VMM_MAC),
@@ -1307,7 +1307,7 @@ fn begin_redirect(
         }
     }
 
-    let plans = crate::transport::for_kind(vmm.cfg.transport).plan_reads(&vmm.client, &holes);
+    let plans = vmm.cfg.transport.plan_reads(&vmm.client, &holes);
     vmm.redirect = Some(RedirectInFlight {
         target,
         outstanding: plans.len() + filled.len(),
@@ -1792,7 +1792,7 @@ fn schedule_retransmit_guard(m: &mut Machine, sim: &mut MachineSim) {
         for members in reissue_redirects {
             let vmm = m.vmm.as_mut().expect("still here");
             let plans =
-                crate::transport::for_kind(vmm.cfg.transport).plan_reads(&vmm.client, &members);
+                vmm.cfg.transport.plan_reads(&vmm.client, &members);
             let mut fs_all = Vec::new();
             for plan in plans {
                 let (id, fs) =
@@ -1987,7 +1987,7 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
     // The transport turns the claimed blocks into wire requests: one
     // per block for plain AoE (the historical shape), coalesced
     // multi-range batches for the batched/RDMA transports.
-    let plans = crate::transport::for_kind(vmm.cfg.transport).plan_reads(&vmm.client, &claims);
+    let plans = vmm.cfg.transport.plan_reads(&vmm.client, &claims);
     let mut frames = Vec::new();
     for plan in plans {
         // The AoE round-trip span nests under the first covered block's
@@ -2441,7 +2441,7 @@ fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
     {
         let Some(vmm) = m.vmm.as_mut() else { return };
         let plans =
-            crate::transport::for_kind(vmm.cfg.transport).plan_writes(&vmm.client, &claims);
+            vmm.cfg.transport.plan_writes(&vmm.client, &claims);
         for plan in plans {
             let parent = vmm
                 .snap
@@ -2581,7 +2581,7 @@ pub fn reclaim(m: &mut Machine, sim: &mut MachineSim, spec: &MachineSpec) -> Res
     });
     // The transport survives reclaim with the rest of the config: the
     // next tenant's deployment runs on the same fabric plan.
-    crate::transport::for_kind(cfg.transport).configure_client(&mut vmm.client);
+    cfg.transport.configure_client(&mut vmm.client);
     vmm.devirt = DevirtSequencer::new(spec.cpus);
     vmm.dirty = DirtyTracker::new(spec.image_sectors);
     vmm.snap = None;

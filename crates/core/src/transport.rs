@@ -7,31 +7,35 @@
 //! configured; the machine code is transport-agnostic and speaks only in
 //! [`ReadPlan`]s and [`WritePlan`]s.
 //!
-//! Three implementations:
+//! Three kinds ([`TransportKind`]):
 //!
-//! - [`aoe_plain::PlainAoe`] — the paper's extended AoE: one request per
+//! - [`TransportKind::Aoe`] — the paper's extended AoE: one request per
 //!   run, exactly the shape every figure in §5 was measured with. The
-//!   plain transport is byte-identical to the pre-transport-layer code
-//!   path, so historical digests do not move.
-//! - [`aoe_batched::BatchedAoe`] — the v3 multi-range extension: adjacent
+//!   planner is the identity, so runs are byte-identical to the
+//!   pre-transport-layer code path and historical digests do not move.
+//! - [`TransportKind::Batched`] — the v3 multi-range extension: adjacent
 //!   runs are coalesced, non-adjacent runs share one frame's range table,
 //!   and the server scatter-gathers the whole set into one reply burst
-//!   under one request id. Fewer requests means fewer round trips and
-//!   less per-request server CPU.
-//! - [`rdma::RdmaTransport`] — batched planning plus rdma-flagged
+//!   under one request id. The win is per-request, not per-byte: each
+//!   avoided request saves a round trip, one per-request CPU charge on
+//!   the server, and one slot in its DRR accounting. Batches are
+//!   fragment-budgeted so a reply burst fits the 12-bit fragment index
+//!   space, and endpoint-grouped so a request never spans servers.
+//! - [`TransportKind::Rdma`] — batched planning plus rdma-flagged
 //!   requests served by the server's InfiniBand HCA as one-sided READs:
 //!   no server worker, no per-request CPU, and one doorbell (base
-//!   latency) per request no matter how many runs it carries.
+//!   latency) per request no matter how many runs it carries. The HCA is
+//!   built from the same shared [`IbConfig`] the Figure 12/13
+//!   microbenchmarks use. Writes (snapshot-back) still take the AoE
+//!   worker path — the server must invalidate its cache and sequence
+//!   them against reads — but inherit the batched coalescing.
 //!
-//! The planners are deterministic: same claims, same plans, on every
-//! engine — the parallel fleet's equivalence digests depend on it.
-
-pub mod aoe_batched;
-pub mod aoe_plain;
-pub mod rdma;
+//! The planners are deterministic: same claims, same plans, so same-seed
+//! runs stay byte-identical.
 
 use aoe::{AoeClient, FrameBytes, ServerConfig, Tag};
 use hwsim::block::BlockRange;
+use hwsim::ib::IbConfig;
 use simkit::{SimTime, SpanId};
 
 /// Which deployment transport a machine uses.
@@ -72,6 +76,57 @@ impl TransportKind {
             TransportKind::Rdma => "rdma",
         }
     }
+
+    /// Configures a freshly built client for this transport: the RDMA
+    /// transport flags every read for the IB lane.
+    pub fn configure_client(self, client: &mut AoeClient) {
+        if self == TransportKind::Rdma {
+            client.set_rdma(true);
+        }
+    }
+
+    /// Server-side export configuration for this transport: the RDMA
+    /// transport attaches the shared-config InfiniBand HCA.
+    pub fn server_config(self, base: ServerConfig) -> ServerConfig {
+        match self {
+            TransportKind::Aoe | TransportKind::Batched => base,
+            TransportKind::Rdma => ServerConfig {
+                rdma: Some(IbConfig::qdr_4x()),
+                ..base
+            },
+        }
+    }
+
+    /// Groups wanted read claims into wire requests. Claims must be
+    /// disjoint; order is preserved for the plain transport and
+    /// normalized to LBA order per batch otherwise.
+    pub fn plan_reads(self, client: &AoeClient, claims: &[BlockRange]) -> Vec<ReadPlan> {
+        match self {
+            TransportKind::Aoe => claims
+                .iter()
+                .map(|&claim| ReadPlan {
+                    runs: vec![claim],
+                    members: vec![claim],
+                })
+                .collect(),
+            TransportKind::Batched | TransportKind::Rdma => plan_reads_batched(client, claims),
+        }
+    }
+
+    /// Groups dirty write claims into wire requests. Claims must be
+    /// disjoint.
+    pub fn plan_writes(self, client: &AoeClient, claims: &[BlockRange]) -> Vec<WritePlan> {
+        match self {
+            TransportKind::Aoe => claims
+                .iter()
+                .map(|&claim| WritePlan {
+                    range: claim,
+                    members: vec![claim],
+                })
+                .collect(),
+            TransportKind::Batched | TransportKind::Rdma => plan_writes_batched(client, claims),
+        }
+    }
 }
 
 impl std::fmt::Display for TransportKind {
@@ -103,42 +158,6 @@ pub struct WritePlan {
     pub range: BlockRange,
     /// Original dirty claims covered, tiling `range` exactly.
     pub members: Vec<BlockRange>,
-}
-
-/// A deployment transport: stateless planning + endpoint configuration.
-///
-/// Implementations are unit structs reachable through [`for_kind`], so a
-/// machine stores only its [`TransportKind`] and the plans stay
-/// deterministic across engines and reclaim cycles.
-pub trait Transport: Sync + std::fmt::Debug {
-    /// Which kind this is.
-    fn kind(&self) -> TransportKind;
-
-    /// Configures a freshly built client for this transport (e.g. the
-    /// RDMA transport flags every read for the IB lane).
-    fn configure_client(&self, client: &mut AoeClient);
-
-    /// Server-side export configuration for this transport (e.g. the
-    /// RDMA transport attaches the shared-config InfiniBand HCA).
-    fn server_config(&self, base: ServerConfig) -> ServerConfig;
-
-    /// Groups wanted read claims into wire requests. Claims must be
-    /// disjoint; order is preserved for the plain transport and
-    /// normalized to LBA order per batch otherwise.
-    fn plan_reads(&self, client: &AoeClient, claims: &[BlockRange]) -> Vec<ReadPlan>;
-
-    /// Groups dirty write claims into wire requests. Claims must be
-    /// disjoint.
-    fn plan_writes(&self, client: &AoeClient, claims: &[BlockRange]) -> Vec<WritePlan>;
-}
-
-/// The shared instance for `kind`.
-pub fn for_kind(kind: TransportKind) -> &'static dyn Transport {
-    match kind {
-        TransportKind::Aoe => &aoe_plain::PlainAoe,
-        TransportKind::Batched => &aoe_batched::BatchedAoe,
-        TransportKind::Rdma => &rdma::RdmaTransport,
-    }
 }
 
 /// Issues one planned read: a single-run plan goes out as a plain v2
@@ -252,7 +271,7 @@ fn seal_write_chunk(members: Vec<BlockRange>) -> WritePlan {
 
 /// Splits `claims` into per-endpoint groups, preserving first-seen
 /// endpoint order and claim order within each group (both matter for
-/// cross-engine determinism).
+/// run-to-run determinism).
 fn group_by_endpoint(client: &AoeClient, claims: &[BlockRange]) -> Vec<Vec<BlockRange>> {
     let mut order: Vec<(u16, u8)> = Vec::new();
     let mut groups: Vec<Vec<BlockRange>> = Vec::new();
@@ -287,7 +306,6 @@ mod tests {
     fn kind_labels_round_trip() {
         for kind in TransportKind::ALL {
             assert_eq!(TransportKind::parse(kind.label()), Some(kind));
-            assert_eq!(for_kind(kind).kind(), kind);
         }
         assert_eq!(TransportKind::parse("carrier-pigeon"), None);
         assert_eq!(TransportKind::default(), TransportKind::Aoe);
@@ -306,7 +324,7 @@ mod tests {
     fn plain_plans_one_request_per_claim_in_order() {
         let c = client();
         let claims = [r(100, 8), r(0, 8), r(50, 8)];
-        let plans = for_kind(TransportKind::Aoe).plan_reads(&c, &claims);
+        let plans = TransportKind::Aoe.plan_reads(&c, &claims);
         assert_eq!(plans.len(), 3);
         for (plan, claim) in plans.iter().zip(claims) {
             assert_eq!(plan.runs, vec![claim]);
@@ -319,7 +337,7 @@ mod tests {
         let c = client();
         // Two adjacent claims plus one distant: one request, two runs.
         let claims = [r(0, 2048), r(2048, 2048), r(100_000, 2048)];
-        let plans = for_kind(TransportKind::Batched).plan_reads(&c, &claims);
+        let plans = TransportKind::Batched.plan_reads(&c, &claims);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].runs, vec![r(0, 4096), r(100_000, 2048)]);
         assert_eq!(plans[0].members.len(), 3);
@@ -336,7 +354,7 @@ mod tests {
         let claims: Vec<BlockRange> = (0..n)
             .map(|i| r(i as u64 * per_claim as u64, per_claim))
             .collect();
-        let plans = for_kind(TransportKind::Batched).plan_reads(&c, &claims);
+        let plans = TransportKind::Batched.plan_reads(&c, &claims);
         assert!(plans.len() >= 2, "must split past the budget");
         for plan in &plans {
             let total: u32 = plan.runs.iter().map(|run| frags(run.sectors, spf)).sum();
@@ -350,20 +368,20 @@ mod tests {
     fn write_plans_merge_only_contiguous_claims() {
         let c = client();
         let claims = [r(0, 64), r(64, 64), r(200, 64)];
-        let plans = for_kind(TransportKind::Rdma).plan_writes(&c, &claims);
+        let plans = TransportKind::Rdma.plan_writes(&c, &claims);
         assert_eq!(plans.len(), 2);
         assert_eq!(plans[0].range, r(0, 128));
         assert_eq!(plans[0].members, vec![r(0, 64), r(64, 64)]);
         assert_eq!(plans[1].range, r(200, 64));
         // Plain never merges.
-        let plain = for_kind(TransportKind::Aoe).plan_writes(&c, &claims);
+        let plain = TransportKind::Aoe.plan_writes(&c, &claims);
         assert_eq!(plain.len(), 3);
     }
 
     #[test]
     fn rdma_transport_flags_the_client_and_arms_the_server() {
         let mut c = client();
-        let t = for_kind(TransportKind::Rdma);
+        let t = TransportKind::Rdma;
         t.configure_client(&mut c);
         assert!(c.rdma());
         let sc = t.server_config(ServerConfig::default());
@@ -371,9 +389,9 @@ mod tests {
         // The other transports leave both alone.
         for kind in [TransportKind::Aoe, TransportKind::Batched] {
             let mut c2 = client();
-            for_kind(kind).configure_client(&mut c2);
+            kind.configure_client(&mut c2);
             assert!(!c2.rdma());
-            assert_eq!(for_kind(kind).server_config(ServerConfig::default()).rdma, None);
+            assert_eq!(kind.server_config(ServerConfig::default()).rdma, None);
         }
     }
 }

@@ -31,21 +31,13 @@ n >= 8 in the server-bound columns, p2p p99 must not exceed the
 1-server p99 at any shared n >= 8, and the p2p column must report zero
 queue drops (supply grows with demand).
 
-With `--parallel`, validates a parallel-engine bench artifact
-(`reproduce --scaleout --sim-threads N` writes `BENCH_parallel.json`):
-the schema must carry every documented field, every engine-equivalence
-cell must report byte-identical sequential/parallel digests, and — when
-the host actually had the cores to run the workers (`host_cpus >= 4`)
-and a sequential reference was recorded — the wall-clock speedup at the
-p2p n=256 anchor must be at least 2x.
-
 With `--elasticity`, validates a reverse-lifecycle artifact (`reproduce
 --elasticity` writes `BENCH_elasticity.json`): every rolling-upgrade
 point must survive with zero queue drops, zero reclaim errors, and every
 machine's archive and redeployed image verified; the scale wave must
 park and restore all its members; every survivability row must survive
 its fault plan with the plan's fault class actually firing; the chaos
-double run and every engine-equivalence cell must be byte-identical.
+double run must be byte-identical.
 
 With `--obs`, validates a fleet observability artifact directory
 (`reproduce --scaleout --fleet-obs DIR` writes `DIR/scaleout`,
@@ -67,14 +59,12 @@ batched AoE must hold plain within 2%, the batched and RDMA columns must
 not inflate the origin's request stream, RDMA points must actually serve
 one-sided (rdma_reads > 0, and only there), queue drops must be zero
 everywhere (the IB lane is lossless, the Ethernet lane backpressured),
-and every engine-equivalence cell and chaos double run must be
-byte-identical.
+and every chaos double run must be byte-identical.
 
 Usage: scripts/check_figures.py BENCH_reproduce.json reproduce_output.txt
        scripts/check_figures.py --faults BENCH_reproduce.json
        scripts/check_figures.py --trace TRACE_DIR
        scripts/check_figures.py --scaleout BENCH_scaleout.json
-       scripts/check_figures.py --parallel BENCH_parallel.json
        scripts/check_figures.py --elasticity BENCH_elasticity.json
        scripts/check_figures.py --obs OBS_DIR
        scripts/check_figures.py --transport BENCH_transport.json
@@ -284,90 +274,13 @@ def check_scaleout(bench_path):
         sys.exit(1)
 
 
-def check_parallel(bench_path):
-    """Validate a parallel-engine bench run (BENCH_parallel.json)."""
-    with open(bench_path, encoding="utf-8") as f:
-        bench = json.load(f)
-    failed = False
-
-    for key in ("scale", "sim_threads", "host_cpus", "rows",
-                "sequential_reference", "speedup_at_anchor", "equivalence"):
-        if key not in bench:
-            print(f"FAIL schema: top-level key '{key}' missing")
-            failed = True
-    if failed:
-        sys.exit(1)
-
-    row_keys = ("topology", "n", "sim_threads", "wall_ms",
-                "events_processed", "events_per_sec")
-    rows = bench["rows"]
-    if not rows:
-        print("FAIL rows: empty")
-        failed = True
-    for i, r in enumerate(rows):
-        missing = [k for k in row_keys if k not in r]
-        if missing:
-            print(f"FAIL rows[{i}]: missing {missing}")
-            failed = True
-        elif r["events_processed"] <= 0 or r["wall_ms"] < 0:
-            print(f"FAIL rows[{i}] ({r['topology']} n={r['n']}):"
-                  f" non-positive events or negative wall clock")
-            failed = True
-    if not failed:
-        total_events = sum(r["events_processed"] for r in rows)
-        print(f"ok   rows: {len(rows)} points, {total_events} events total")
-
-    cells = bench["equivalence"]
-    if not cells:
-        print("FAIL equivalence: empty matrix")
-        failed = True
-    bad = []
-    for c in cells:
-        if (c["digest_sequential"] != c["digest_parallel"]
-                or not c["identical"]):
-            bad.append(c)
-            print(f"FAIL equivalence {c['topology']} n={c['n']}:"
-                  f" sequential {c['digest_sequential']}"
-                  f" != parallel {c['digest_parallel']}")
-            failed = True
-    if cells and not bad:
-        topos = sorted({c["topology"] for c in cells})
-        ns = sorted({c["n"] for c in cells})
-        print(f"ok   equivalence: {len(cells)} cells identical"
-              f" (topologies {topos}, n {ns})")
-
-    # The speedup claim needs real cores and a recorded reference; a
-    # single-core host caps workers at 1 (graceful degradation), so
-    # there the artifact records ~1x honestly and the gate is host_cpus.
-    ref = bench["sequential_reference"]
-    speedup = bench["speedup_at_anchor"]
-    if bench["host_cpus"] >= 4 and bench["sim_threads"] >= 4 and ref:
-        if speedup < 2.0:
-            print(f"FAIL speedup: {speedup:.2f}x at the p2p anchor"
-                  f" (host_cpus={bench['host_cpus']},"
-                  f" sim_threads={bench['sim_threads']}; need >= 2x)")
-            failed = True
-        else:
-            print(f"ok   speedup: {speedup:.2f}x at the p2p anchor"
-                  f" over {ref['wall_ms']:.0f}ms sequential")
-    else:
-        print(f"note speedup gate skipped (host_cpus={bench['host_cpus']},"
-              f" sim_threads={bench['sim_threads']},"
-              f" reference={'yes' if ref else 'no'});"
-              f" recorded {speedup:.2f}x")
-
-    if failed:
-        sys.exit(1)
-
-
 def check_elasticity(bench_path):
     """Validate a reverse-lifecycle run (BENCH_elasticity.json)."""
     with open(bench_path, encoding="utf-8") as f:
         bench = json.load(f)
     failed = False
 
-    for key in ("scale", "sim_threads", "points", "wave", "survivability",
-                "chaos", "equivalence"):
+    for key in ("scale", "points", "wave", "survivability", "chaos"):
         if key not in bench:
             print(f"FAIL schema: top-level key '{key}' missing")
             failed = True
@@ -445,20 +358,6 @@ def check_elasticity(bench_path):
         failed = True
     else:
         print(f"ok   chaos: double run byte-identical ({c['digest_a']})")
-
-    cells = bench["equivalence"]
-    if not cells:
-        print("FAIL equivalence: empty matrix")
-        failed = True
-    for c in cells:
-        if c["digest_sequential"] != c["digest_parallel"] or not c["identical"]:
-            print(f"FAIL equivalence n={c['n']}:"
-                  f" sequential {c['digest_sequential']}"
-                  f" != parallel {c['digest_parallel']}")
-            failed = True
-    if cells and not failed:
-        ns = sorted({c["n"] for c in cells})
-        print(f"ok   equivalence: {len(cells)} cells identical (n {ns})")
 
     if failed:
         sys.exit(1)
@@ -612,7 +511,7 @@ def check_transport(bench_path):
         bench = json.load(f)
     failed = False
 
-    for key in ("scale", "transports", "points", "equivalence", "chaos"):
+    for key in ("scale", "transports", "points", "chaos"):
         if key not in bench:
             print(f"FAIL schema: top-level key '{key}' missing")
             failed = True
@@ -718,21 +617,6 @@ def check_transport(bench_path):
                 print(f"ok   {label} n={m}: request stream"
                       f" {col[m]['requests']} < plain {aoe[m]['requests']}")
 
-    cells = bench["equivalence"]
-    if not cells:
-        print("FAIL equivalence: empty matrix")
-        failed = True
-    for c in cells:
-        if c["digest_sequential"] != c["digest_parallel"] or not c["identical"]:
-            print(f"FAIL equivalence {c['transport']} n={c['n']}:"
-                  f" sequential {c['digest_sequential']}"
-                  f" != parallel {c['digest_parallel']}")
-            failed = True
-    if cells and not failed:
-        labels = sorted({c["transport"] for c in cells})
-        print(f"ok   equivalence: {len(cells)} cells identical"
-              f" (transports {labels})")
-
     runs = bench["chaos"]
     if not runs:
         print("FAIL chaos: empty")
@@ -758,9 +642,6 @@ def main():
         return
     if len(sys.argv) == 3 and sys.argv[1] == "--scaleout":
         check_scaleout(sys.argv[2])
-        return
-    if len(sys.argv) == 3 and sys.argv[1] == "--parallel":
-        check_parallel(sys.argv[2])
         return
     if len(sys.argv) == 3 and sys.argv[1] == "--elasticity":
         check_elasticity(sys.argv[2])
