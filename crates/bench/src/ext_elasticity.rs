@@ -24,11 +24,11 @@
 //!   on the published point JSON, the event count, and the full
 //!   flight-recorder trace.
 //!
-//! Hand-rolled JSON with fixed-precision floats (the workspace carries
-//! no serde) and no wall-clock fields, so same-seed runs produce
-//! byte-identical artifacts.
+//! Rendered by the shared [`crate::experiment::document`] writer with
+//! fixed-precision floats and no wall-clock fields, so same-seed runs
+//! produce byte-identical artifacts.
 
-use crate::ext_scaleout::fnv1a64;
+use crate::experiment::{fnv1a64, run_pool, RerunLock, Section};
 use crate::{Check, Figure, Row, Scale};
 use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::{Fleet, FleetConfig, LifecycleStage};
@@ -38,8 +38,6 @@ use guestsim::os::BootProfile;
 use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use simkit::fault::{FaultCounters, FaultPlan};
 use simkit::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The *next* tenant image deployed by every upgrade / scale-up wave.
 pub const UPGRADE_IMAGE_SEED: u64 = 0xE1A5_11FE;
@@ -431,21 +429,6 @@ fn class_fired(plan: &str, c: &FaultCounters) -> u64 {
     }
 }
 
-/// The chaos determinism lock: digests of two independent same-seed
-/// chaos waves.
-#[derive(Debug, Clone)]
-pub struct ChaosLock {
-    /// Digest of the first run's witness.
-    pub digest_a: String,
-    /// Digest of the second run's witness.
-    pub digest_b: String,
-    /// Whether the witnesses (point JSON + event count) matched
-    /// byte-for-byte.
-    pub identical: bool,
-    /// Whether the flight-recorder traces matched byte-for-byte.
-    pub trace_identical: bool,
-}
-
 /// The determinism witness of one run: published point JSON, event
 /// count, and the trace digest.
 pub fn upgrade_witness(m: &MeasuredUpgrade) -> String {
@@ -457,9 +440,15 @@ pub fn upgrade_witness(m: &MeasuredUpgrade) -> String {
     )
 }
 
-/// FNV-1a digest of [`upgrade_witness`], as recorded in the artifact.
-pub fn upgrade_digest(m: &MeasuredUpgrade) -> String {
-    format!("{:016x}", fnv1a64(upgrade_witness(m).as_bytes()))
+/// The chaos determinism lock over two same-seed upgrade waves: their
+/// [`upgrade_witness`]es and their full flight-recorder traces must
+/// match.
+pub fn upgrade_lock(a: &MeasuredUpgrade, b: &MeasuredUpgrade) -> RerunLock {
+    let mut lock = RerunLock::new("upgrade", &upgrade_witness(a), &upgrade_witness(b));
+    // The witness carries only the traces' digests; the lock compares
+    // the traces themselves.
+    lock.identical &= a.trace == b.trace;
+    lock
 }
 
 /// Everything `BENCH_elasticity.json` records.
@@ -471,17 +460,18 @@ pub struct ElasticityBench {
     pub wave: WaveRun,
     /// Per-fault-class survivability rows, [`SURVIVAL_PLANS`] order.
     pub survivability: Vec<SurvivalRow>,
-    /// The chaos determinism lock.
-    pub chaos: ChaosLock,
+    /// The chaos determinism lock: [`upgrade_witness`] and the full
+    /// flight-recorder trace of two same-seed chaos waves.
+    pub chaos: RerunLock,
     /// Flight-recorder trace of the first chaos run (exported via
     /// `--trace-out`).
     pub chaos_trace: String,
 }
 
+/// One pooled measurement: an upgrade wave `(n, batch, fault preset,
+/// flight-recorded)`, or the scale-down/scale-up cycle.
 enum Task {
-    Point { n: u32, batch: u32 },
-    Chaos,
-    Survive(&'static str),
+    Upgrade(u32, u32, Option<&'static str>, bool),
     Wave,
 }
 
@@ -492,19 +482,10 @@ enum Out {
 
 fn run_task(task: &Task) -> Out {
     match *task {
-        Task::Point { n, batch } => Out::Run(measure_upgrade(n, batch, None, false)),
-        Task::Chaos => Out::Run(measure_upgrade(
-            2,
-            1,
-            FaultPlan::preset("chaos", ELASTICITY_FAULT_SEED),
-            true,
-        )),
-        Task::Survive(plan) => Out::Run(measure_upgrade(
-            2,
-            1,
-            FaultPlan::preset(plan, ELASTICITY_FAULT_SEED),
-            false,
-        )),
+        Task::Upgrade(n, batch, preset, record) => {
+            let faults = preset.and_then(|p| FaultPlan::preset(p, ELASTICITY_FAULT_SEED));
+            Out::Run(measure_upgrade(n, batch, faults, record))
+        }
         Task::Wave => Out::Wave(measure_scale_wave()),
     }
 }
@@ -515,36 +496,18 @@ fn run_task(task: &Task) -> Out {
 pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
     let grid = upgrade_grid(scale);
 
-    let mut tasks: Vec<Task> = Vec::new();
-    for &n in &grid {
-        tasks.push(Task::Point {
-            n,
-            batch: batch_for(n),
-        });
-    }
-    tasks.push(Task::Chaos);
-    tasks.push(Task::Chaos);
-    for plan in SURVIVAL_PLANS {
-        tasks.push(Task::Survive(plan));
-    }
+    let mut tasks: Vec<Task> = grid
+        .iter()
+        .map(|&n| Task::Upgrade(n, batch_for(n), None, false))
+        .collect();
+    tasks.extend([
+        Task::Upgrade(2, 1, Some("chaos"), true),
+        Task::Upgrade(2, 1, Some("chaos"), true),
+    ]);
+    tasks.extend(SURVIVAL_PLANS.map(|plan| Task::Upgrade(2, 1, Some(plan), false)));
     tasks.push(Task::Wave);
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Out>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(tasks.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(run_task(task));
-            });
-        }
-    });
-    let mut outs = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("task slot filled"))
-        .collect::<Vec<_>>()
-        .into_iter();
+    let mut outs = run_pool(jobs, &tasks, run_task).into_iter();
     let mut take_run = || match outs.next().expect("outs align with tasks") {
         Out::Run(m) => m,
         Out::Wave(_) => unreachable!("task order: runs before the wave"),
@@ -553,12 +516,7 @@ pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
     let points: Vec<MeasuredUpgrade> = grid.iter().map(|_| take_run()).collect();
     let chaos_a = take_run();
     let chaos_b = take_run();
-    let chaos = ChaosLock {
-        identical: upgrade_witness(&chaos_a) == upgrade_witness(&chaos_b),
-        trace_identical: chaos_a.trace == chaos_b.trace,
-        digest_a: upgrade_digest(&chaos_a),
-        digest_b: upgrade_digest(&chaos_b),
-    };
+    let chaos = upgrade_lock(&chaos_a, &chaos_b);
     let survivability: Vec<SurvivalRow> = SURVIVAL_PLANS
         .iter()
         .map(|&plan| {
@@ -646,10 +604,7 @@ pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
             reclaim_errs as f64,
             "",
         ),
-        bool_check(
-            "chaos double-run byte-identical (1=yes)",
-            chaos.identical && chaos.trace_identical,
-        ),
+        bool_check("chaos double-run byte-identical (1=yes)", chaos.identical),
         bool_check(
             "snapshot-back survives drop/corrupt/stall/chaos (1=yes)",
             survives,
@@ -682,8 +637,8 @@ pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
     )
 }
 
-/// One point's JSON object, fixed precision — hashed for digests
-/// byte-for-byte as published in the artifact's `point` objects.
+/// One point's JSON object, fixed precision — witnessed by the chaos
+/// lock byte-for-byte as published in the artifact's `point` objects.
 pub fn upgrade_point_json(p: &UpgradePoint) -> String {
     format!(
         "{{\"n\": {}, \"batch\": {}, \"survived\": {}, \
@@ -704,68 +659,51 @@ pub fn upgrade_point_json(p: &UpgradePoint) -> String {
     )
 }
 
-/// The `BENCH_elasticity.json` document body. Every field is
-/// deterministic in the seeds — two same-seed invocations produce
-/// byte-identical documents (the chaos section proves it from inside
-/// one invocation; CI diffs two whole artifacts).
-pub fn elasticity_json(scale: Scale, bench: &ElasticityBench) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, m) in bench.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"point\": {}}}{}\n",
-            upgrade_point_json(&m.point),
-            if i + 1 < bench.points.len() { "," } else { "" }
-        ));
+impl ElasticityBench {
+    /// The `BENCH_elasticity.json` sections after `"scale"`. Every field
+    /// is deterministic in the seeds: two same-seed invocations produce
+    /// byte-identical documents (the chaos lock proves it from inside
+    /// one invocation).
+    pub fn sections(&self) -> Vec<(&'static str, Section)> {
+        let w = &self.wave;
+        let wave = format!(
+            "{{\"n\": {}, \"parked\": {}, \"scale_down_s\": {:.6}, \
+             \"scale_up_p50_s\": {:.6}, \"queue_drops\": {}, \"parked_emptied\": {}, \
+             \"images_verified\": {}, \"events_processed\": {}}}",
+            w.n,
+            w.parked,
+            w.scale_down_s,
+            w.scale_up_p50_s,
+            w.queue_drops,
+            w.parked_emptied,
+            w.images_verified,
+            w.events,
+        );
+        let survivability = self
+            .survivability
+            .iter()
+            .map(|s| {
+                format!(
+                    "{{\"plan\": \"{}\", \"survived\": {}, \"class_fired\": {}, \
+                     \"retransmits\": {}, \"reclaim_errors\": {}, \"queue_drops\": {}}}",
+                    s.plan,
+                    s.survived,
+                    s.class_fired,
+                    s.retransmits,
+                    s.reclaim_errors,
+                    s.queue_drops,
+                )
+            })
+            .collect();
+        let points = self.points.iter().map(|m| upgrade_point_json(&m.point));
+        let points = points.map(|p| format!("{{\"point\": {p}}}")).collect();
+        vec![
+            ("points", Section::Rows(points)),
+            ("wave", Section::Value(wave)),
+            ("survivability", Section::Rows(survivability)),
+            ("chaos", Section::Rows(vec![self.chaos.json()])),
+        ]
     }
-    out.push_str("  ],\n");
-    let w = &bench.wave;
-    out.push_str(&format!(
-        "  \"wave\": {{\"n\": {}, \"parked\": {}, \"scale_down_s\": {:.6}, \
-         \"scale_up_p50_s\": {:.6}, \"queue_drops\": {}, \"parked_emptied\": {}, \
-         \"images_verified\": {}, \"events_processed\": {}}},\n",
-        w.n,
-        w.parked,
-        w.scale_down_s,
-        w.scale_up_p50_s,
-        w.queue_drops,
-        w.parked_emptied,
-        w.images_verified,
-        w.events,
-    ));
-    out.push_str("  \"survivability\": [\n");
-    for (i, s) in bench.survivability.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"plan\": \"{}\", \"survived\": {}, \"class_fired\": {}, \
-             \"retransmits\": {}, \"reclaim_errors\": {}, \"queue_drops\": {}}}{}\n",
-            s.plan,
-            s.survived,
-            s.class_fired,
-            s.retransmits,
-            s.reclaim_errors,
-            s.queue_drops,
-            if i + 1 < bench.survivability.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"chaos\": {{\"digest_a\": \"{}\", \"digest_b\": \"{}\", \
-         \"identical\": {}, \"trace_identical\": {}}}\n",
-        bench.chaos.digest_a, bench.chaos.digest_b, bench.chaos.identical, bench.chaos.trace_identical,
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Writes `BENCH_elasticity.json`.
-pub fn write_elasticity_json(
-    path: &str,
-    scale: Scale,
-    bench: &ElasticityBench,
-) -> std::io::Result<()> {
-    std::fs::write(path, elasticity_json(scale, bench))
 }
 
 #[cfg(test)]
@@ -807,12 +745,17 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_digest_witnesses_the_event_count() {
+    fn upgrade_lock_witnesses_events_and_trace() {
         let a = synthetic(4321);
         let b = synthetic(4321);
-        assert_eq!(upgrade_digest(&a), upgrade_digest(&b));
+        let lock = upgrade_lock(&a, &b);
+        assert!(lock.identical);
+        assert_eq!(lock.digest_a, lock.digest_b);
         let c = synthetic(4322);
-        assert_ne!(upgrade_digest(&a), upgrade_digest(&c), "event count is a witness");
+        assert!(!upgrade_lock(&a, &c).identical, "event count is a witness");
+        let mut d = synthetic(4321);
+        d.trace = Some("{}".into());
+        assert!(!upgrade_lock(&a, &d).identical, "the trace is a witness");
     }
 
     #[test]
@@ -838,15 +781,10 @@ mod tests {
                 reclaim_errors: 0,
                 queue_drops: 0,
             }],
-            chaos: ChaosLock {
-                digest_a: upgrade_digest(&m),
-                digest_b: upgrade_digest(&m),
-                identical: true,
-                trace_identical: true,
-            },
+            chaos: upgrade_lock(&m, &m),
             chaos_trace: String::new(),
         };
-        let json = elasticity_json(Scale::Quick, &bench);
+        let json = crate::experiment::document(Scale::Quick, bench.sections());
         for key in [
             "\"scale\": \"Quick\"",
             "\"points\": [",
@@ -859,8 +797,8 @@ mod tests {
             "\"survivability\": [",
             "\"plan\": \"drop\"",
             "\"class_fired\": 12",
-            "\"chaos\": {",
-            "\"trace_identical\": true",
+            "\"chaos\": [",
+            "\"label\": \"upgrade\"",
             "\"identical\": true",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");

@@ -25,6 +25,7 @@
 //!   concurrently on a bounded pool; the artifact
 //!   `BENCH_scaleout.json` is byte-identical across same-seed runs.
 
+use crate::experiment::run_pool;
 use crate::{Check, Figure, Row, Scale};
 use bmcast::fleet::{Fleet, FleetConfig};
 use bmcast::machine::MachineSpec;
@@ -33,8 +34,6 @@ use bmcast::deploy::Runner;
 use bmcast_baselines::image_copy::ImageCopyPlan;
 use guestsim::os::BootProfile;
 use simkit::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Server + gigabit-link effective capacity for deployment traffic, MB/s.
 const SERVER_CAPACITY_MBPS: f64 = 107.0;
@@ -387,21 +386,7 @@ pub fn measure_scaleout(scale: Scale, jobs: usize) -> Vec<ScaleoutPoint> {
         .flat_map(|(t, ns)| ns.into_iter().map(move |n| (t, n)))
         .collect();
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ScaleoutPoint>>> = work.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(work.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(t, n)) = work.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(measure_point(t, n, &spec, &profile));
-            });
-        }
-    });
-    let mut points: Vec<ScaleoutPoint> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("point slot filled"))
-        .collect();
+    let mut points = run_pool(jobs, &work, |&(t, n)| measure_point(t, n, &spec, &profile));
 
     // Calibrate the analytic model from the measured 1-server n=1 run:
     // redirect count and volume from the fleet's own stats, the CPU
@@ -446,7 +431,7 @@ pub fn measure_scaleout(scale: Scale, jobs: usize) -> Vec<ScaleoutPoint> {
 
 /// The measured scale-out figure (the `reproduce --scaleout` path).
 /// Returns the figure plus the points `BENCH_scaleout.json` is built
-/// from.
+/// from ([`point_json`] rows).
 pub fn run_scaleout(scale: Scale, jobs: usize) -> (Figure, Vec<ScaleoutPoint>) {
     let measured = measure_scaleout(scale, jobs);
     let points: Vec<&ScaleoutPoint> = measured.iter().collect();
@@ -566,18 +551,8 @@ pub fn run_scaleout(scale: Scale, jobs: usize) -> (Figure, Vec<ScaleoutPoint>) {
     (fig, measured)
 }
 
-/// Writes `BENCH_scaleout.json`. Hand-rolled JSON (the workspace
-/// carries no serde) with fixed-precision floats: same-seed runs
-/// produce byte-identical artifacts.
-pub fn write_scaleout_json(
-    path: &str,
-    scale: Scale,
-    points: &[ScaleoutPoint],
-) -> std::io::Result<()> {
-    std::fs::write(path, scaleout_json(scale, points))
-}
-
-/// One point's JSON object, fixed precision.
+/// One point's row in `BENCH_scaleout.json`'s `points` section, fixed
+/// precision so same-seed runs are byte-identical.
 pub fn point_json(p: &ScaleoutPoint) -> String {
     format!(
         "{{\"topology\": \"{}\", \"n\": {}, \"servers\": {}, \"peers\": {}, \
@@ -599,36 +574,6 @@ pub fn point_json(p: &ScaleoutPoint) -> String {
         p.rel_err,
         p.image_copy_s,
     )
-}
-
-/// The `BENCH_scaleout.json` document body.
-pub fn scaleout_json(scale: Scale, points: &[ScaleoutPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            point_json(p),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// FNV-1a over `bytes` — the workspace carries no hash crates, and a
-/// 64-bit digest is plenty for an equality witness (the underlying
-/// comparison in tests is the full byte string; the digest is what the
-/// JSON artifacts record).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -686,12 +631,5 @@ mod tests {
         // by the serialization bound: same values as the M/M/1 curve.
         let bm64 = analytic_bmcast_startup_secs(64, 30.4, 4000.0, 0.018, 7.0);
         assert!((bm64 - 137.0).abs() < 1.0, "n=64 paper regime {bm64:.1}s");
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

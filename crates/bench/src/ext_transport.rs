@@ -22,7 +22,8 @@
 //! `BENCH_transport.json` carries the points plus a two-run chaos
 //! determinism lock per transport.
 
-use crate::ext_scaleout::{fleet_geometry, fnv1a64, topology_fleet_cfg, Topology};
+use crate::experiment::{run_pool, RerunLock, Section};
+use crate::ext_scaleout::{fleet_geometry, topology_fleet_cfg, Topology};
 use crate::{Check, Figure, Row, Scale};
 use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::Fleet;
@@ -31,8 +32,6 @@ use bmcast::TransportKind;
 use simkit::fault::FaultPlan;
 use simkit::slo::SloConfig;
 use simkit::SimTime;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Seed of the chaos determinism lock's fault plan.
 pub const TRANSPORT_FAULT_SEED: u64 = 7;
@@ -167,8 +166,8 @@ pub fn measure_transport_point(
     }
 }
 
-/// One point's JSON object, fixed precision — what gets hashed for the
-/// chaos lock is byte-for-byte what gets published.
+/// One point's row in `BENCH_transport.json`, fixed precision — what
+/// the chaos lock compares is byte-for-byte what gets published.
 pub fn transport_point_json(p: &TransportPoint) -> String {
     format!(
         "{{\"transport\": \"{}\", \"n\": {}, \"startup_p50_s\": {:.6}, \
@@ -195,25 +194,10 @@ pub fn transport_point_json(p: &TransportPoint) -> String {
     )
 }
 
-/// The digest witness for one run: published JSON plus the event count.
-pub fn transport_digest(m: &MeasuredTransport) -> String {
-    let witness = format!("{}|events={}", transport_point_json(&m.point), m.events);
-    format!("{:016x}", fnv1a64(witness.as_bytes()))
-}
-
-/// One transport's two-run chaos determinism cell: the same chaos
-/// fault plan replayed from the same seed must reproduce the run
-/// byte-for-byte — retransmission paths included, on every transport.
-#[derive(Debug, Clone)]
-pub struct TransportChaos {
-    /// Transport label.
-    pub transport: &'static str,
-    /// Digest of the first run.
-    pub digest_a: String,
-    /// Digest of the second run.
-    pub digest_b: String,
-    /// Whether the two runs agreed.
-    pub identical: bool,
+/// The rerun-lock witness of one run: published JSON plus the event
+/// count.
+pub fn transport_witness(m: &MeasuredTransport) -> String {
+    format!("{}|events={}", transport_point_json(&m.point), m.events)
 }
 
 /// Everything `BENCH_transport.json` records.
@@ -223,8 +207,23 @@ pub struct TransportBench {
     pub kinds: Vec<TransportKind>,
     /// Grid points, grouped by transport in grid order.
     pub points: Vec<MeasuredTransport>,
-    /// The chaos determinism lock (one cell per raced transport).
-    pub chaos: Vec<TransportChaos>,
+    /// The chaos determinism lock, one per raced transport.
+    pub chaos: Vec<RerunLock>,
+}
+
+impl TransportBench {
+    /// The `BENCH_transport.json` sections after `"scale"`.
+    pub fn sections(&self) -> Vec<(&'static str, Section)> {
+        let kinds: Vec<String> = self.kinds.iter().map(|k| format!("\"{k}\"")).collect();
+        let kinds = format!("[{}]", kinds.join(", "));
+        let points = self.points.iter().map(|m| transport_point_json(&m.point));
+        let chaos = self.chaos.iter().map(RerunLock::json);
+        vec![
+            ("transports", Section::Value(kinds)),
+            ("points", Section::Rows(points.collect())),
+            ("chaos", Section::Rows(chaos.collect())),
+        ]
+    }
 }
 
 /// Measures the full race: the `(kind, n)` grid plus the chaos lock,
@@ -232,65 +231,26 @@ pub struct TransportBench {
 /// world).
 pub fn measure_transport(scale: Scale, jobs: usize, kinds: &[TransportKind]) -> TransportBench {
     let ns = transport_grid(scale);
-    // One flat work list: grid points, then per-kind (a, b) chaos runs.
-    // Slot-addressed results keep the output deterministic under work
-    // stealing.
-    #[derive(Clone, Copy)]
-    enum Job {
-        Grid(TransportKind, u32),
-        Chaos(TransportKind),
-    }
-    let mut work: Vec<Job> = Vec::new();
+    // One flat work list of `(kind, n, fault plan)`: grid points, then
+    // per-kind (a, b) chaos runs.
+    let chaos = FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED);
+    let mut work = Vec::new();
     for &k in kinds {
-        for &n in &ns {
-            work.push(Job::Grid(k, n));
-        }
+        work.extend(ns.iter().map(|&n| (k, n, None)));
     }
     for &k in kinds {
-        work.push(Job::Chaos(k));
-        work.push(Job::Chaos(k));
+        work.extend(vec![(k, LOCK_FLEET_N, chaos.clone()); 2]);
     }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<MeasuredTransport>>> =
-        work.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(work.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&job) = work.get(i) else { break };
-                let m = match job {
-                    Job::Grid(k, n) => measure_transport_point(k, n, None),
-                    Job::Chaos(k) => measure_transport_point(
-                        k,
-                        LOCK_FLEET_N,
-                        FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED),
-                    ),
-                };
-                *slots[i].lock().unwrap() = Some(m);
-            });
-        }
+    let mut points = run_pool(jobs, &work, |(k, n, faults)| {
+        measure_transport_point(*k, *n, faults.clone())
     });
-    let mut measured: Vec<MeasuredTransport> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("transport slot filled"))
-        .collect();
-
-    let chaos_runs = measured.split_off(kinds.len() * ns.len());
-    let points = measured;
-
+    let chaos_runs = points.split_off(kinds.len() * ns.len());
     let chaos = kinds
         .iter()
         .zip(chaos_runs.chunks(2))
-        .map(|(&k, pair)| {
-            let [a, b] = pair else { unreachable!("chaos runs pushed in pairs") };
-            let (da, db) = (transport_digest(a), transport_digest(b));
-            TransportChaos {
-                transport: k.label(),
-                identical: da == db,
-                digest_a: da,
-                digest_b: db,
-            }
+        .map(|(k, ab)| {
+            let (a, b) = (transport_witness(&ab[0]), transport_witness(&ab[1]));
+            RerunLock::new(k.label(), &a, &b)
         })
         .collect();
 
@@ -438,56 +398,6 @@ pub fn run_transport(
     (fig, bench)
 }
 
-/// The `BENCH_transport.json` document body. Hand-rolled JSON (the
-/// workspace carries no serde), fixed precision: same-seed runs are
-/// byte-identical.
-pub fn transport_json(scale: Scale, bench: &TransportBench) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str(&format!(
-        "  \"transports\": [{}],\n",
-        bench
-            .kinds
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, m) in bench.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            transport_point_json(&m.point),
-            if i + 1 < bench.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"chaos\": [\n");
-    for (i, c) in bench.chaos.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"digest_a\": \"{}\", \"digest_b\": \"{}\", \
-             \"identical\": {}}}{}\n",
-            c.transport,
-            c.digest_a,
-            c.digest_b,
-            c.identical,
-            if i + 1 < bench.chaos.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_transport.json`.
-pub fn write_transport_json(
-    path: &str,
-    scale: Scale,
-    bench: &TransportBench,
-) -> std::io::Result<()> {
-    std::fs::write(path, transport_json(scale, bench))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,12 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn transport_digest_witnesses_the_event_count() {
+    fn transport_witness_covers_the_event_count() {
         let a = synthetic_point("aoe", 1234);
         let b = synthetic_point("aoe", 1234);
-        assert_eq!(transport_digest(&a), transport_digest(&b));
+        assert_eq!(transport_witness(&a), transport_witness(&b));
         let c = synthetic_point("aoe", 1235);
-        assert_ne!(transport_digest(&a), transport_digest(&c));
+        assert_ne!(transport_witness(&a), transport_witness(&c));
     }
 
     #[test]
@@ -544,14 +454,10 @@ mod tests {
         let bench = TransportBench {
             kinds: vec![TransportKind::Aoe, TransportKind::Rdma],
             points: vec![synthetic_point("aoe", 100), synthetic_point("rdma", 90)],
-            chaos: vec![TransportChaos {
-                transport: "rdma",
-                digest_a: "bb".into(),
-                digest_b: "bb".into(),
-                identical: true,
-            }],
+            chaos: vec![RerunLock::new("rdma", "w", "w")],
         };
-        let json = transport_json(Scale::Quick, &bench);
+        let render = || crate::experiment::document(Scale::Quick, bench.sections());
+        let json = render();
         for key in [
             "\"scale\": \"Quick\"",
             "\"transports\": [\"aoe\", \"rdma\"]",
@@ -562,12 +468,13 @@ mod tests {
             "\"requests\": 4096",
             "\"alert_raises\": 0",
             "\"chaos\": [",
+            "\"label\": \"rdma\"",
             "\"identical\": true",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
         // Rendering is a pure function of the bench.
-        assert_eq!(json, transport_json(Scale::Quick, &bench));
+        assert_eq!(json, render());
     }
 
     #[test]
@@ -613,6 +520,6 @@ mod tests {
                 FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED),
             )
         };
-        assert_eq!(transport_digest(&chaos()), transport_digest(&chaos()));
+        assert_eq!(transport_witness(&chaos()), transport_witness(&chaos()));
     }
 }

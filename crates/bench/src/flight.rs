@@ -9,9 +9,10 @@
 //! | `report.txt`    | the same report, human-readable                     |
 //! | `metrics.json`  | full counter/gauge/histogram snapshot               |
 //!
-//! Recording is split from writing so tests can assert on the recorder
-//! contents (phase spans tile the run, timelines replay byte-identically)
-//! without touching the filesystem.
+//! Recording is split from rendering, and `reproduce` writes the
+//! rendered files, so tests can assert on the recorder contents (phase
+//! spans tile the run, timelines replay byte-identically) without
+//! touching the filesystem.
 
 use crate::faults::FAULT_SEED;
 use crate::Scale;
@@ -25,7 +26,6 @@ use simkit::export::{chrome_trace_json, report_json, report_text, timeline_json}
 use simkit::fault::FaultPlan;
 use simkit::metrics::LogHistogram;
 use simkit::{SampleRow, SimDuration, SimTime, Span};
-use std::path::Path;
 
 /// Everything one flight-recorded deployment captured, detached from the
 /// machine so exporters and assertions can consume it freely.
@@ -117,41 +117,15 @@ pub fn record(scale: Scale, rec: FlightRecorderConfig, fault_preset: Option<&str
     }
 }
 
-/// What [`write_artifacts`] put on disk, for the CLI's log line.
-pub struct FlightSummary {
-    /// When the machine reached bare metal.
-    pub bare_metal_at: SimTime,
-    /// Finished spans exported into `trace.json`.
-    pub spans: usize,
-    /// Timeline rows exported into `timeline.json`.
-    pub rows: usize,
-    /// Trace events evicted from the ring (0 unless the ring was
-    /// undersized).
-    pub trace_dropped: u64,
-}
-
-/// Records one deployment ([`record`]) and writes all five artifacts
-/// into `dir` (created if missing).
-pub fn write_artifacts(
-    scale: Scale,
-    dir: &Path,
-    rec: FlightRecorderConfig,
-    fault_preset: Option<&str>,
-) -> std::io::Result<FlightSummary> {
-    let run = record(scale, rec, fault_preset);
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(
-        dir.join("trace.json"),
-        chrome_trace_json(&run.spans, &run.samples),
-    )?;
-    std::fs::write(dir.join("timeline.json"), timeline_json(&run.samples))?;
-    std::fs::write(dir.join("report.json"), report_json(&run.spans, &run.kinds))?;
-    std::fs::write(dir.join("report.txt"), report_text(&run.spans, &run.kinds))?;
-    std::fs::write(dir.join("metrics.json"), &run.metrics_json)?;
-    Ok(FlightSummary {
-        bare_metal_at: run.bare_metal_at,
-        spans: run.spans.len(),
-        rows: run.samples.len(),
-        trace_dropped: run.trace_dropped,
-    })
+impl FlightRun {
+    /// The five artifact files as `(name, body)` pairs.
+    pub fn artifacts(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("trace.json", chrome_trace_json(&self.spans, &self.samples)),
+            ("timeline.json", timeline_json(&self.samples)),
+            ("report.json", report_json(&self.spans, &self.kinds)),
+            ("report.txt", report_text(&self.spans, &self.kinds)),
+            ("metrics.json", self.metrics_json.clone()),
+        ]
+    }
 }

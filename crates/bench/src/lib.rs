@@ -6,13 +6,17 @@
 //! database runs), [`Scale::Quick`] shrinks them for CI and Criterion
 //! while preserving every mechanism.
 //!
-//! The `reproduce` binary prints figures and the paper-vs-measured
-//! comparison table recorded in `EXPERIMENTS.md`.
+//! The measured fleet experiments (`ext_scaleout`, `ext_transport`,
+//! `ext_elasticity`) share one harness, [`experiment`]: worker pool,
+//! digest, rerun lock and `BENCH_*.json` writer. The `reproduce` binary
+//! prints figures and the paper-vs-measured comparison table recorded
+//! in `EXPERIMENTS.md`.
 
 pub mod ext_ablation;
 pub mod ext_elasticity;
 pub mod ext_scaleout;
 pub mod ext_transport;
+pub mod experiment;
 pub mod faults;
 pub mod fig04_startup;
 pub mod fig05_database;
@@ -32,9 +36,10 @@ pub mod telemetry;
 use std::fmt;
 
 /// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// The paper's parameters.
+    #[default]
     Paper,
     /// Shrunk for fast iteration; same mechanisms, same shape.
     Quick,

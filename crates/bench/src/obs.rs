@@ -21,7 +21,8 @@
 //! (`obs_artifacts_are_rerun_identical` below holds the line, and the
 //! CI `obs-smoke` job diffs whole directories).
 
-use crate::ext_scaleout::{fnv1a64, fleet_geometry, topology_fleet_cfg, Topology};
+use crate::experiment::fnv1a64;
+use crate::ext_scaleout::{fleet_geometry, topology_fleet_cfg, Topology};
 use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::{Fleet, FleetConfig, StragglerReport, StragglerRow};
 use bmcast::programs::BootProgram;
@@ -29,8 +30,6 @@ use guestsim::os::BootProfile;
 use simkit::export::{alerts_json, alerts_text};
 use simkit::slo::{Alert, SloConfig};
 use simkit::SimTime;
-use std::io;
-use std::path::Path;
 
 /// Fleet size of the observability run: the scale-out figure's n=64
 /// peer-to-peer point (the fleet the straggler-attribution section of
@@ -113,15 +112,6 @@ impl FleetObs {
         let digest = digest_json(&files);
         files.push(("obs_digest.json", digest));
         files
-    }
-
-    /// Writes the artifact directory (created if missing).
-    pub fn write(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        for (name, body) in self.artifacts() {
-            std::fs::write(dir.join(name), body)?;
-        }
-        Ok(())
     }
 
     /// Alerts that raised (excludes clear edges).

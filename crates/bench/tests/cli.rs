@@ -1,5 +1,6 @@
-//! `reproduce` command-line hygiene: a bad invocation must fail before
-//! it measures or writes anything. Every run overwrites
+//! `reproduce` command-line hygiene: a bad invocation, including a flag
+//! that would be silently ignored, must fail with status 2 before it
+//! measures or writes anything. A figure run overwrites
 //! `BENCH_reproduce.json` in the working directory, so an ignored typo
 //! used to clobber the committed artifact with an empty figure list.
 
@@ -12,6 +13,19 @@ fn bad_invocations_are_rejected_before_writing() {
         ("sim_threads", &["--quick", "--sim-threads", "2"][..]),
         ("unknown_flag", &["--quick", "--no-such-flag"][..]),
         ("figure_id", &["--quick", "nosuchfig"][..]),
+        (
+            "obs_transport",
+            &[
+                "--quick",
+                "--scaleout",
+                "--transport",
+                "all",
+                "--fleet-obs",
+                "o",
+            ][..],
+        ),
+        ("obs_alone", &["--quick", "--fleet-obs", "o"][..]),
+        ("ring_alone", &["--quick", "--trace-ring", "64"][..]),
     ] {
         let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
         let _ = std::fs::remove_dir_all(&dir);
@@ -22,7 +36,7 @@ fn bad_invocations_are_rejected_before_writing() {
             .output()
             .expect("spawn reproduce")
             .status;
-        assert!(!status.success(), "{args:?} must exit non-zero");
+        assert_eq!(status.code(), Some(2), "{args:?} must be a usage error");
         assert!(
             !dir.join("BENCH_reproduce.json").exists(),
             "{args:?} must not write BENCH_reproduce.json"

@@ -10,7 +10,7 @@
 //! - **The cache does its job**: n identical boots read each range from
 //!   the server disk about once, so followers hit at ~(n-1)/n.
 //! - **Chaos runs are reproducible to the byte**: the same seed under a
-//!   fault plan yields the identical `BENCH_scaleout.json` body — with
+//!   fault plan yields the identical `BENCH_scaleout.json` row — with
 //!   one origin server, a sharded (k ≥ 2) store, and the figure's
 //!   peer-to-peer column.
 //! - **Every topology degenerates at n = 1**: the figure's 1-server,
@@ -21,8 +21,7 @@ use bmcast::deploy::Runner;
 use bmcast::fleet::{Fleet, FleetConfig};
 use bmcast::machine::MachineSpec;
 use bmcast::programs::BootProgram;
-use bmcast_bench::ext_scaleout::{scaleout_json, topology_fleet_cfg, ScaleoutPoint, Topology};
-use bmcast_bench::Scale;
+use bmcast_bench::ext_scaleout::{point_json, topology_fleet_cfg, ScaleoutPoint, Topology};
 use guestsim::os::BootProfile;
 use simkit::fault::FaultPlan;
 use simkit::{SimDuration, SimTime};
@@ -105,8 +104,8 @@ fn eight_concurrent_boots_are_fair_and_share_the_cache() {
     );
 }
 
-/// Boots `cfg` and reduces it to the JSON body the figure would write
-/// for it under `topology`.
+/// Boots `cfg` and reduces it to the `BENCH_scaleout.json` row the
+/// figure would write for it under `topology`.
 fn fleet_json_once(cfg: FleetConfig, topology: &'static str) -> String {
     let n = cfg.n as u32;
     let servers = cfg.servers as u32;
@@ -128,7 +127,7 @@ fn fleet_json_once(cfg: FleetConfig, topology: &'static str) -> String {
         rel_err: 0.0,
         image_copy_s: 0.0,
     };
-    scaleout_json(Scale::Quick, &[point])
+    point_json(&point)
 }
 
 /// One chaos fleet of 4 with `servers` origin replicas.

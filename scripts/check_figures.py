@@ -37,7 +37,7 @@ point must survive with zero queue drops, zero reclaim errors, and every
 machine's archive and redeployed image verified; the scale wave must
 park and restore all its members; every survivability row must survive
 its fault plan with the plan's fault class actually firing; the chaos
-double run must be byte-identical.
+double run must be byte-identical, flight-recorder trace included.
 
 With `--obs`, validates a fleet observability artifact directory
 (`reproduce --scaleout --fleet-obs DIR` writes `DIR/scaleout`,
@@ -49,6 +49,13 @@ preceding every clear; the straggler report's decile must sit at or
 above the fleet median with a consistent peer/origin read split; the
 Perfetto trace must be non-empty; and `obs_digest.json` must match the
 FNV-1a64 digest of every artifact body, recomputed here.
+
+The `--scaleout`, `--transport` and `--elasticity` artifacts share one
+envelope, checked by one loader: a "scale" of Quick or Paper, the
+experiment's named sections, and a "chaos" list of two-run rerun locks
+({label, digest_a, digest_b, identical}), every one of which must be
+identical with equal digests (the transport and elasticity artifacts
+must carry at least one).
 
 With `--transport`, validates a deployment-transport race (`reproduce
 --scaleout --transport ...` writes `BENCH_transport.json`): the plain-AoE
@@ -173,11 +180,43 @@ def check_trace(trace_dir):
         sys.exit(1)
 
 
+def load_bench(bench_path, sections, locks=True):
+    """Load a measured-experiment artifact and check the shared envelope:
+    a Quick/Paper scale, every named section, and every rerun lock in
+    "chaos" identical (at least one lock when `locks`). Exits on a
+    broken envelope; returns the document and whether a lock failed."""
+    with open(bench_path, encoding="utf-8") as f:
+        bench = json.load(f)
+    failed = False
+    if bench.get("scale") not in ("Quick", "Paper"):
+        print(f"FAIL schema: scale {bench.get('scale')!r} in {bench_path}")
+        failed = True
+    for key in sections:
+        if key not in bench:
+            print(f"FAIL schema: top-level key '{key}' missing")
+            failed = True
+    if failed:
+        sys.exit(1)
+
+    runs = bench.get("chaos", [])
+    if locks and not runs:
+        print("FAIL chaos: no rerun locks")
+        failed = True
+    for c in runs:
+        if c["digest_a"] != c["digest_b"] or not c["identical"]:
+            print(f"FAIL chaos {c['label']}: {c['digest_a']}"
+                  f" vs {c['digest_b']}")
+            failed = True
+    if runs and not failed:
+        labels = ", ".join(c["label"] for c in runs)
+        print(f"ok   chaos: {len(runs)} double runs byte-identical ({labels})")
+    return bench, failed
+
+
 def check_scaleout(bench_path):
     """Validate a measured fleet scale-out run (BENCH_scaleout.json)."""
-    with open(bench_path, encoding="utf-8") as f:
-        points = json.load(f)["points"]
-    failed = False
+    bench, failed = load_bench(bench_path, ("points",), locks=False)
+    points = bench["points"]
     if len(points) < 2:
         print(f"FAIL: only {len(points)} scale-out points in {bench_path}")
         sys.exit(1)
@@ -276,16 +315,7 @@ def check_scaleout(bench_path):
 
 def check_elasticity(bench_path):
     """Validate a reverse-lifecycle run (BENCH_elasticity.json)."""
-    with open(bench_path, encoding="utf-8") as f:
-        bench = json.load(f)
-    failed = False
-
-    for key in ("scale", "points", "wave", "survivability", "chaos"):
-        if key not in bench:
-            print(f"FAIL schema: top-level key '{key}' missing")
-            failed = True
-    if failed:
-        sys.exit(1)
+    bench, failed = load_bench(bench_path, ("points", "wave", "survivability"))
 
     point_keys = ("n", "batch", "survived", "boot_p50_s", "upgrade_p50_s",
                   "upgrade_p99_s", "makespan_s", "queue_drops",
@@ -349,15 +379,6 @@ def check_elasticity(bench_path):
         else:
             print(f"ok   survivability {r['plan']}: {r['class_fired']} faults,"
                   f" {r['retransmits']} retransmits, snapshot survived")
-
-    c = bench["chaos"]
-    if (c["digest_a"] != c["digest_b"] or not c["identical"]
-            or not c["trace_identical"]):
-        print(f"FAIL chaos: {c['digest_a']} vs {c['digest_b']}"
-              f" (traces identical: {c['trace_identical']})")
-        failed = True
-    else:
-        print(f"ok   chaos: double run byte-identical ({c['digest_a']})")
 
     if failed:
         sys.exit(1)
@@ -507,17 +528,7 @@ TRANSPORT_POINT_KEYS = (
 
 def check_transport(bench_path):
     """Validate a deployment-transport race (BENCH_transport.json)."""
-    with open(bench_path, encoding="utf-8") as f:
-        bench = json.load(f)
-    failed = False
-
-    for key in ("scale", "transports", "points", "chaos"):
-        if key not in bench:
-            print(f"FAIL schema: top-level key '{key}' missing")
-            failed = True
-    if failed:
-        sys.exit(1)
-
+    bench, failed = load_bench(bench_path, ("transports", "points"))
     points = bench["points"]
     if not points:
         print("FAIL points: empty")
@@ -617,45 +628,12 @@ def check_transport(bench_path):
                 print(f"ok   {label} n={m}: request stream"
                       f" {col[m]['requests']} < plain {aoe[m]['requests']}")
 
-    runs = bench["chaos"]
-    if not runs:
-        print("FAIL chaos: empty")
-        failed = True
-    for c in runs:
-        if c["digest_a"] != c["digest_b"] or not c["identical"]:
-            print(f"FAIL chaos {c['transport']}: {c['digest_a']}"
-                  f" vs {c['digest_b']}")
-            failed = True
-    if runs and not failed:
-        print(f"ok   chaos: {len(runs)} double runs byte-identical")
-
     if failed:
         sys.exit(1)
 
 
-def main():
-    if len(sys.argv) == 3 and sys.argv[1] == "--faults":
-        check_faults(sys.argv[2])
-        return
-    if len(sys.argv) == 3 and sys.argv[1] == "--trace":
-        check_trace(sys.argv[2])
-        return
-    if len(sys.argv) == 3 and sys.argv[1] == "--scaleout":
-        check_scaleout(sys.argv[2])
-        return
-    if len(sys.argv) == 3 and sys.argv[1] == "--elasticity":
-        check_elasticity(sys.argv[2])
-        return
-    if len(sys.argv) == 3 and sys.argv[1] == "--obs":
-        check_obs(sys.argv[2])
-        return
-    if len(sys.argv) == 3 and sys.argv[1] == "--transport":
-        check_transport(sys.argv[2])
-        return
-    if len(sys.argv) != 3 or sys.argv[1].startswith("--"):
-        sys.exit("\n".join(__doc__.strip().splitlines()[-2:]))
-    bench_path, golden_path = sys.argv[1], sys.argv[2]
-
+def check_golden(bench_path, golden_path):
+    """Compare per-figure check counts against the golden output."""
     with open(bench_path, encoding="utf-8") as f:
         bench = json.load(f)
     measured = {fig["id"]: fig["checks"] for fig in bench["figures"]}
@@ -681,6 +659,26 @@ def main():
     print(f"total: {total} checks across {len(golden)} golden figures")
     if failed:
         sys.exit(1)
+
+
+MODES = {
+    "--faults": check_faults,
+    "--trace": check_trace,
+    "--scaleout": check_scaleout,
+    "--elasticity": check_elasticity,
+    "--obs": check_obs,
+    "--transport": check_transport,
+}
+
+
+def main():
+    args = sys.argv[1:]
+    if len(args) == 2 and args[0] in MODES:
+        MODES[args[0]](args[1])
+    elif len(args) == 2 and not args[0].startswith("--"):
+        check_golden(*args)
+    else:
+        sys.exit(__doc__[__doc__.index("Usage:"):].strip())
 
 
 if __name__ == "__main__":
