@@ -7,10 +7,11 @@
 //! `next_empty_per_sector_reference` re-implements the old linear scan
 //! so the speedup is measured in the same run.
 
+use aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, Tag};
 use aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
 use bmcast::bitmap::BlockBitmap;
-use criterion::{criterion_group, criterion_main, Criterion};
-use hwsim::block::{BlockRange, BlockStore, Lba};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use hwsim::disk::{DiskModel, DiskParams};
 use simkit::SimTime;
 use std::time::Duration;
@@ -168,6 +169,30 @@ fn bench_aoe(c: &mut Criterion) {
             }
             done.expect("read completes").data.len()
         })
+    });
+
+    group.finish();
+
+    // One full 9000-MTU read-response fragment (17 sectors, 8728 bytes):
+    // the per-byte wire cost, checksum alone and each direction whole.
+    let mut group = c.benchmark_group("aoe_frame_9000");
+    group.sample_size(10_000);
+    let sectors = sectors_per_frame(9000);
+    let mut pdu = AoePdu::read_request(0, 0, Tag::new(1, 0), BlockRange::new(Lba(0), sectors));
+    pdu.response = true;
+    pdu.data = Some(
+        (0..sectors as u64)
+            .map(|i| SectorData(0x5EED ^ i))
+            .collect(),
+    );
+    let frame = pdu.encode();
+
+    group.bench_function("frame_checksum", |b| {
+        b.iter(|| frame_checksum(black_box(&frame)))
+    });
+    group.bench_function("encode", |b| b.iter(|| black_box(&pdu).encode()));
+    group.bench_function("decode", |b| {
+        b.iter(|| AoePdu::decode(black_box(&frame)).expect("decodes"))
     });
 
     group.finish();

@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants.
 
-use bmcast_repro::aoe::wire::{AoePdu, DecodeError, Tag};
+use bmcast_repro::aoe::wire::{frame_checksum, AoePdu, DecodeError, Tag};
 use bmcast_repro::aoe::{AoeClient, ClientConfig};
 use bmcast_repro::bmcast::bitmap::BlockBitmap;
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
@@ -211,6 +211,14 @@ proptest! {
         let bytes = pdu.encode();
         let prefix = &bytes[..cut % bytes.len()];
         prop_assert!(AoePdu::decode(prefix).is_err());
+    }
+
+    /// The zero-run checksum is bit-identical to the byte-serial FNV-1a
+    /// definition on any bytes: short frames, lengths off the 8-byte
+    /// word grid, zero runs at any offset, all-zero and dense buffers.
+    #[test]
+    fn frame_checksum_equals_byte_serial_fnv1a(frame in zero_heavy_bytes()) {
+        prop_assert_eq!(frame_checksum(&frame), reference_frame_checksum(&frame));
     }
 
     /// Reassembly is order- and duplication-insensitive: any permutation
@@ -429,6 +437,51 @@ proptest! {
             prop_assert!(ta > SimDuration::ZERO);
         }
     }
+}
+
+/// The wire-v2 checksum by its definition: byte-serial FNV-1a 64 with
+/// bytes 22–23 (the checksum field) read as zero, folded to 16 bits.
+fn reference_frame_checksum(bytes: &[u8]) -> u16 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (i, &b) in bytes.iter().enumerate() {
+        let b = if i == 22 || i == 23 { 0 } else { b };
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
+}
+
+/// Byte vectors shaped like AoE frames and worse: short ones, all-zero
+/// ones, dense ones, dense ones with zero runs punched at random
+/// offsets, and zero ones with a few random bytes sprinkled in.
+fn zero_heavy_bytes() -> impl Strategy<Value = Vec<u8>> {
+    use proptest::collection::vec;
+    prop_oneof![
+        vec(any::<u8>(), 0..40),
+        (0usize..3000).prop_map(|n| vec![0u8; n]),
+        vec(any::<u8>(), 0..3000),
+        (
+            vec(any::<u8>(), 0..3000),
+            vec((any::<usize>(), 1usize..1200), 1..8)
+        )
+            .prop_map(|(mut bytes, runs)| {
+                for (at, len) in runs {
+                    if !bytes.is_empty() {
+                        let at = at % bytes.len();
+                        let end = (at + len).min(bytes.len());
+                        bytes[at..end].fill(0);
+                    }
+                }
+                bytes
+            }),
+        (1usize..3000, vec((any::<usize>(), 1u8..=255), 0..24)).prop_map(|(n, marks)| {
+            let mut bytes = vec![0u8; n];
+            for (at, b) in marks {
+                bytes[at % n] = b;
+            }
+            bytes
+        }),
+    ]
 }
 
 proptest! {
